@@ -28,9 +28,11 @@
 package docirs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/docmodel"
@@ -339,7 +341,12 @@ func (s *System) Search(collection, irsQuery string) ([]SearchResult, error) {
 	for oid, v := range scores {
 		out = append(out, SearchResult{ExtID: oid.String(), Score: v})
 	}
-	sortResults(out)
+	slices.SortFunc(out, func(a, b SearchResult) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ExtID, b.ExtID)
+	})
 	return out, nil
 }
 
@@ -410,17 +417,4 @@ func MustOID(str string) OID {
 		panic(fmt.Sprintf("docirs: %v", err))
 	}
 	return oid
-}
-
-func sortResults(rs []SearchResult) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0; j-- {
-			if rs[j].Score > rs[j-1].Score ||
-				(rs[j].Score == rs[j-1].Score && rs[j].ExtID < rs[j-1].ExtID) {
-				rs[j], rs[j-1] = rs[j-1], rs[j]
-			} else {
-				break
-			}
-		}
-	}
 }

@@ -153,8 +153,8 @@ func TestAsyncBacklogBound(t *testing.T) {
 func TestImmediateFlushErrorsObservable(t *testing.T) {
 	fx := newFixture(t, "")
 	// The spec query parses but fails at evaluation time (unknown
-	// class), so the flush's specification re-run errors out.
-	col, err := fx.coupling.CreateCollection("broken", `ACCESS p FROM p IN NOSUCHCLASS;`, Options{
+	// method), so the flush's membership test errors out.
+	col, err := fx.coupling.CreateCollection("broken", `ACCESS p FROM p IN PARA WHERE p -> noSuchMethod() > 0;`, Options{
 		Policy: PropagateImmediately,
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/irs"
 	"repro/internal/obs"
 	"repro/internal/oodb"
+	"repro/internal/vql"
 )
 
 // Stage histograms of the flush pipeline, shared across collections
@@ -38,6 +40,20 @@ type Collection struct {
 	specQuery string
 	textMode  int
 	irsColl   *irs.Collection
+
+	// spec is specQuery parsed once. deltaClass is its FROM class when
+	// the query's shape lets a flush decide membership of a new object
+	// from that object alone (see deltaClassOf); "" keeps the full
+	// specification re-run on every create-bearing flush.
+	spec       *vql.Query
+	deltaClass string
+	// reconciled is set by the first full specification run since open
+	// (a flush's, or IndexObjects/Reindex). Until then even a delta-able
+	// collection's create-bearing flush re-runs the full query: the
+	// update log is volatile, so members committed to the database but
+	// not flushed before a crash are in no log after reopen, and that
+	// one run re-admits them.
+	reconciled atomic.Bool
 
 	// mu guards the exchangeable configuration slots (deriver,
 	// policy, textFn); queries read them while applications may
@@ -130,6 +146,8 @@ type Stats struct {
 	GroupedOps      atomic.Int64 // ops across those batches (avg = group size)
 	AnalyzeNanos    atomic.Int64 // time in the parallel analyze stage (no locks held)
 	CommitNanos     atomic.Int64 // time inside the index commit batch (commit lock held)
+	SpecReruns      atomic.Int64 // flushes that re-ran the specification query over the extent
+	DeltaAdmitted   atomic.Int64 // new members staged from logged creations, no extent scan
 }
 
 // StatsSnapshot is a plain-value copy of Stats.
@@ -142,6 +160,7 @@ type StatsSnapshot struct {
 	AsyncFlushes                          int64
 	GroupCommits, GroupedOps              int64
 	AnalyzeNanos, CommitNanos             int64
+	SpecReruns, DeltaAdmitted             int64
 }
 
 // Snapshot returns current counter values.
@@ -156,22 +175,25 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		FlushRecoveries: s.FlushRecoveries.Load(),
 		AsyncFlushes:    s.AsyncFlushes.Load(), GroupCommits: s.GroupCommits.Load(),
 		GroupedOps: s.GroupedOps.Load(), AnalyzeNanos: s.AnalyzeNanos.Load(),
-		CommitNanos: s.CommitNanos.Load(),
+		CommitNanos: s.CommitNanos.Load(), SpecReruns: s.SpecReruns.Load(),
+		DeltaAdmitted: s.DeltaAdmitted.Load(),
 	}
 }
 
-func newCollection(c *Coupling, oid oodb.OID, name, specQuery string, textMode int,
+func newCollection(c *Coupling, oid oodb.OID, name, specQuery string, spec *vql.Query, textMode int,
 	irsColl *irs.Collection, deriver derive.Scheme, policy PropagationPolicy) *Collection {
 	col := &Collection{
-		c:         c,
-		oid:       oid,
-		name:      name,
-		specQuery: specQuery,
-		textMode:  textMode,
-		irsColl:   irsColl,
-		deriver:   deriver,
-		policy:    policy,
-		log:       newUpdateLog(),
+		c:          c,
+		oid:        oid,
+		name:       name,
+		specQuery:  specQuery,
+		spec:       spec,
+		deltaClass: deltaClassOf(spec),
+		textMode:   textMode,
+		irsColl:    irsColl,
+		deriver:    deriver,
+		policy:     policy,
+		log:        newUpdateLog(),
 	}
 	col.setAsyncTuning(0, 0)
 	col.buffer = newResultBuffer(col)
@@ -314,11 +336,52 @@ func (col *Collection) defaultValue() float64 {
 	return 0
 }
 
-// specResult evaluates the specification query and returns the
-// selected object OIDs. Every result row must be a single object —
-// "The result is a set of IRSObjects" (Section 4.2).
+// deltaClassOf classifies a specification query by shape. With a
+// single FROM binding whose ACCESS list is that variable, whether an
+// object is a member depends on the object alone — its class, and the
+// WHERE clause with the variable bound to it — so update propagation
+// can admit new members from the logged creations; the FROM class is
+// returned. Any other shape (a join, an ACCESS expression that
+// navigates away from the variable) can change membership through
+// other objects and returns "": those collections re-run the full
+// query.
+func deltaClassOf(q *vql.Query) string {
+	if len(q.From) != 1 || len(q.Access) != 1 {
+		return ""
+	}
+	if v, ok := q.Access[0].(*vql.Ident); !ok || v.Name != q.From[0].Var {
+		return ""
+	}
+	return q.From[0].Class
+}
+
+// relevant reports whether creating or deleting an instance of class
+// can change the collection's membership: on a delta-able collection
+// only (sub)instances of the FROM class, otherwise anything.
+func (col *Collection) relevant(class string) bool {
+	return col.deltaClass == "" || col.c.db.IsA(class, col.deltaClass)
+}
+
+// specResult evaluates the specification query over the class extents
+// and returns the selected object OIDs.
 func (col *Collection) specResult() ([]oodb.OID, error) {
-	rs, err := col.c.ev.Run(col.specQuery)
+	return col.specRows(col.c.ev.PlanQuery(col.spec, vql.StrategyAuto))
+}
+
+// specResultOver evaluates the specification query of a delta-able
+// collection with its FROM variable bound to oids, not the extent.
+func (col *Collection) specResultOver(oids []oodb.OID) ([]oodb.OID, error) {
+	return col.specRows(col.c.ev.PlanQueryOver(col.spec, vql.StrategyAuto, oids))
+}
+
+// specRows executes a plan of the specification query. Every result
+// row must be a single object — "The result is a set of IRSObjects"
+// (Section 4.2).
+func (col *Collection) specRows(plan *vql.Plan, err error) ([]oodb.OID, error) {
+	var rs *vql.ResultSet
+	if err == nil {
+		rs, err = col.c.ev.Execute(plan)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: specification query of %q: %w", col.name, err)
 	}
@@ -362,6 +425,7 @@ func (col *Collection) IndexObjects() (int, error) {
 		n++
 		col.stats.Indexed.Add(1)
 	}
+	col.reconciled.Store(true)
 	col.buffer.invalidate()
 	col.bumpEpoch()
 	return n, nil
@@ -402,8 +466,9 @@ func (col *Collection) Reindex() (added, updated, removed int, err error) {
 			added++
 		}
 	}
-	_, _, seq := col.log.drain() // everything is fresh; pending ops are moot
+	_, seq := col.log.drain() // everything is fresh; pending ops are moot
 	col.storeApplied(seq)
+	col.reconciled.Store(true)
 	// The rebuilt state bypassed the log (direct index writes), so the
 	// old log no longer describes a replayable tail: rotate it behind a
 	// barrier at the new watermark. The snapshot that covers this state
@@ -753,26 +818,35 @@ func (col *Collection) componentType(oid oodb.OID) string {
 }
 
 // onUpdate records a relevant committed database mutation in the
-// update log. A text or structure change affects the representation
-// of the object itself and of every represented ancestor (their
-// getText covers the subtree), so all of them are logged.
+// update log. What decides is the object's class (relevant), not
+// whether the object is represented right now: a delete or an edit
+// that arrives while a flush holds the object's drained create in
+// flight finds it neither represented nor logged, and dropping it
+// would leave the index holding an object the database no longer
+// does, or its stale text. The flush skips modifies and deletes of
+// unrepresented objects. A text or structure change affects the
+// representation of the object itself and of every ancestor (their
+// getText covers the subtree), so all relevant ones are logged.
 func (col *Collection) onUpdate(u oodb.Update) {
 	logged := false
 	switch u.Kind {
-	case oodb.UpdateCreate:
-		col.log.add(u.OID, pendingCreate, &col.stats)
-		logged = true
-	case oodb.UpdateDelete:
-		if col.Represented(u.OID) || col.log.hasCreate(u.OID) {
-			col.log.add(u.OID, pendingDelete, &col.stats)
+	case oodb.UpdateCreate, oodb.UpdateDelete:
+		if col.relevant(u.Class) {
+			kind := pendingCreate
+			if u.Kind == oodb.UpdateDelete {
+				kind = pendingDelete
+			}
+			col.log.add(u.OID, kind, &col.stats)
 			logged = true
 		}
 	case oodb.UpdateModify:
-		for oid := u.OID; oid != oodb.NilOID; oid = col.c.store.Parent(oid) {
-			if col.Represented(oid) {
+		for oid, class := u.OID, u.Class; oid != oodb.NilOID; {
+			if col.relevant(class) {
 				col.log.add(oid, pendingModify, &col.stats)
 				logged = true
 			}
+			oid = col.c.store.Parent(oid)
+			class, _ = col.c.db.ClassOf(oid)
 		}
 	}
 	if logged {
@@ -812,15 +886,15 @@ type stagedOp struct {
 
 // Flush propagates pending updates to the IRS collection through the
 // staged write pipeline: modified representations are refreshed,
-// deleted objects removed, and — when creations are pending — the
-// specification query is re-evaluated to admit new members. The
-// result buffer is invalidated ("rebuilding the IRS index structures
-// even though they will not change after all" is avoided by the log's
-// cancellation, Section 4.6).
+// deleted objects removed, and new members admitted from the logged
+// creations (newMembers). The result buffer is invalidated
+// ("rebuilding the IRS index structures even though they will not
+// change after all" is avoided by the log's cancellation, Section
+// 4.6).
 //
 // The pipeline has three stages. Stage: text extraction and the
-// specification re-run consult the database and must not run under
-// the index commit lock. Analyze: staged texts are tokenized into
+// membership test consult the database and must not run under the
+// index commit lock. Analyze: staged texts are tokenized into
 // commit-ready irs.AnalyzedDocs, in parallel across GOMAXPROCS
 // workers, still outside every lock. Commit: one short index batch
 // merges the pre-built postings, so the commit lock — during which no
@@ -836,8 +910,8 @@ func (col *Collection) Flush() error {
 	}
 	col.flushMu.Lock()
 	defer col.flushMu.Unlock()
-	ops, hadCreates, seq := col.log.drain()
-	if len(ops) == 0 && !hadCreates {
+	ops, seq := col.log.drain()
+	if len(ops) == 0 {
 		col.storeApplied(seq)
 		return nil
 	}
@@ -845,23 +919,27 @@ func (col *Collection) Flush() error {
 	tr := obs.StartTrace("flush", col.name)
 	defer tr.Finish(obs.SharedSlowLog)
 	var staged []stagedOp
+	var created []oodb.OID
 	for _, op := range ops {
 		ext := op.oid.String()
-		switch op.kind {
-		case pendingModify:
-			if !col.irsColl.HasDoc(ext) {
-				continue
-			}
-			staged = append(staged, stagedOp{kind: pendingModify, ext: ext, text: col.text(op.oid)})
-		case pendingDelete:
-			if !col.irsColl.HasDoc(ext) {
-				continue
-			}
+		represented := col.irsColl.HasDoc(ext)
+		switch {
+		case op.kind == pendingCreate && !represented:
+			created = append(created, op.oid)
+		case !represented:
+			// A modify or delete of an object the index does not hold.
+		case op.kind == pendingDelete:
 			staged = append(staged, stagedOp{kind: pendingDelete, ext: ext})
+		default:
+			// A modify — or a create whose object a full specification
+			// re-run, racing the logging, admitted from the extent
+			// already; that create may have absorbed later edits, so
+			// the representation is refreshed all the same.
+			staged = append(staged, stagedOp{kind: pendingModify, ext: ext, text: col.text(op.oid)})
 		}
 	}
-	if hadCreates {
-		oids, err := col.specResult()
+	if len(created) > 0 {
+		oids, delta, err := col.newMembers(created)
 		if err != nil {
 			// The drained operations are gone from the log and were
 			// never committed; only Reindex can recover them.
@@ -869,11 +947,17 @@ func (col *Collection) Flush() error {
 			return err
 		}
 		for _, oid := range oids {
-			ext := oid.String()
-			if col.irsColl.HasDoc(ext) {
+			text := col.text(oid)
+			if !col.c.db.Exists(oid) {
+				// Deleted since its create was drained; the delete is in
+				// the log. Indexing the object now would only plant a
+				// ghost for the next flush to remove.
 				continue
 			}
-			staged = append(staged, stagedOp{kind: pendingCreate, ext: ext, text: col.text(oid)})
+			staged = append(staged, stagedOp{kind: pendingCreate, ext: oid.String(), text: text})
+			if delta {
+				col.stats.DeltaAdmitted.Add(1)
+			}
 		}
 	}
 	if len(staged) == 0 {
@@ -988,6 +1072,33 @@ func (col *Collection) Flush() error {
 		col.lostOps.Store(true)
 	}
 	return err
+}
+
+// newMembers returns the objects a flush that drained the creations
+// in created must admit, in ascending OID order — the order the extent
+// scan of a full re-run yields, so document ids and rankings do not
+// depend on the path taken — and whether they came from the delta. On
+// a delta-able collection the candidates are the created objects
+// themselves: no WHERE makes the class test already applied by
+// onUpdate the whole membership test, a WHERE is evaluated with the
+// FROM variable bound to them. Other collections, and the first such
+// flush after open (reconciled unset), re-run the specification query over
+// the extent and admit whatever it selects that is not represented.
+// created holds unrepresented objects only.
+func (col *Collection) newMembers(created []oodb.OID) (oids []oodb.OID, delta bool, err error) {
+	if col.deltaClass == "" || !col.reconciled.Load() {
+		col.stats.SpecReruns.Add(1)
+		if oids, err = col.specResult(); err == nil {
+			col.reconciled.Store(true)
+			oids = slices.DeleteFunc(oids, col.Represented)
+		}
+		return oids, false, err
+	}
+	slices.Sort(created)
+	if col.spec.Where != nil {
+		created, err = col.specResultOver(created)
+	}
+	return created, true, err
 }
 
 // analyzeStaged runs the analyze stage: every staged create/modify is

@@ -23,6 +23,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -234,7 +235,7 @@ func (c *Coupling) Collections() []string {
 	for n := range c.byName {
 		out = append(out, n)
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -314,7 +315,8 @@ type Options struct {
 // "the granularity is layed down by identifying the IRSObject
 // instances ... through a 'specification query'").
 func (c *Coupling) CreateCollection(name, specQuery string, opts Options) (*Collection, error) {
-	if _, err := vql.Parse(specQuery); err != nil {
+	spec, err := vql.Parse(specQuery)
+	if err != nil {
 		return nil, fmt.Errorf("core: bad specification query: %w", err)
 	}
 	model := opts.Model
@@ -346,7 +348,7 @@ func (c *Coupling) CreateCollection(name, specQuery string, opts Options) (*Coll
 		c.engine.DropCollection(name)
 		return nil, err
 	}
-	col := newCollection(c, oid, name, specQuery, opts.TextMode, irsColl, deriver, opts.Policy)
+	col := newCollection(c, oid, name, specQuery, spec, opts.TextMode, irsColl, deriver, opts.Policy)
 	col.textFn = opts.TextFunc
 	col.setAsyncBounds(opts.AsyncCoalesceMin, opts.AsyncCoalesceMax)
 	col.setAsyncTuning(opts.AsyncMaxPending, opts.AsyncCoalesce)
@@ -401,6 +403,10 @@ func (c *Coupling) restore() error {
 		}
 		name := attrs["name"].Str
 		modelName := attrs["model"].Str
+		spec, err := vql.Parse(attrs["specQuery"].Str)
+		if err != nil {
+			return fmt.Errorf("core: restore collection %q: bad specification query: %w", name, err)
+		}
 		deriver, ok := derive.ByName(attrs["deriver"].Str)
 		if !ok {
 			deriver = derive.Max{}
@@ -419,7 +425,7 @@ func (c *Coupling) restore() error {
 		} else if err != nil {
 			return err
 		}
-		col := newCollection(c, oid, name, attrs["specQuery"].Str,
+		col := newCollection(c, oid, name, attrs["specQuery"].Str, spec,
 			int(attrs["textMode"].Int), irsColl, deriver,
 			PropagationPolicy(attrs["policy"].Int))
 		// Resume the ingest sequence behind the WAL's recovered
@@ -558,12 +564,4 @@ func (c *Coupling) registerMethods() {
 	// structural ones; annotate for the optimizer ([AbF95]).
 	db.SetMethodCost(docmodel.ClassIRSObject, "getIRSValue", 1000)
 	db.SetMethodCost(docmodel.ClassIRSObject, "deriveIRSValue", 1000)
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -74,15 +74,15 @@ type pendingOp struct {
 // Merge rules per object:
 //
 //	create + modify  -> create          (fresh text is read anyway)
-//	create + delete  -> (nothing)       (the paper's example)
+//	create + delete  -> delete          (the paper's example, see add)
 //	modify + modify  -> modify          (collapsed)
 //	modify + delete  -> delete
-//	delete + create  -> create          (cannot happen: OIDs unique)
+//	modify + create  -> create          (hooks of two transactions out of order)
+//	delete + any     -> delete          (OIDs are never reused)
 type updateLog struct {
-	mu          sync.Mutex
-	ops         map[oodb.OID]pendingKind
-	order       []oodb.OID
-	createCount int
+	mu    sync.Mutex
+	ops   map[oodb.OID]pendingKind
+	order []oodb.OID
 	// seq counts accepted operations; drain reports the high-water
 	// mark it emptied through, giving the flush pipeline its ingest
 	// watermark (an op is "applied" once a drain covering its seq has
@@ -105,36 +105,29 @@ func (l *updateLog) add(oid oodb.OID, kind pendingKind, stats *Stats) {
 	if !exists {
 		l.ops[oid] = kind
 		l.order = append(l.order, oid)
-		if kind == pendingCreate {
-			l.createCount++
-		}
 		return
 	}
+	stats.OpsCancelled.Add(1)
 	switch {
-	case prev == pendingCreate && kind == pendingDelete:
-		// Generated then deleted before propagation: both vanish.
-		delete(l.ops, oid)
-		l.createCount--
-		stats.OpsCancelled.Add(2)
-	case prev == pendingCreate && kind == pendingModify:
-		stats.OpsCancelled.Add(1) // absorbed by the create
-	case prev == pendingModify && kind == pendingModify:
-		stats.OpsCancelled.Add(1) // collapsed
-	case prev == pendingModify && kind == pendingDelete:
+	case prev == pendingDelete:
+		// A hook of a concurrent transaction firing after the delete's:
+		// the object is gone for good, the straggler is moot.
+	case kind == pendingDelete:
+		// The pending modify became moot, or — generated then deleted
+		// before propagation — the pending create vanishes and nothing
+		// gets indexed. The delete itself stays even then (a flush skips
+		// it when the object is unrepresented): a full specification
+		// re-run in flight between the two may have admitted the object
+		// from the extent already, and cancelling both would leave that
+		// ghost in the index for good.
 		l.ops[oid] = pendingDelete
-		stats.OpsCancelled.Add(1) // the modify became moot
+	case kind == pendingCreate:
+		// The create's hook overtaken by a later transaction's modify.
+		l.ops[oid] = pendingCreate
 	default:
-		l.ops[oid] = kind
+		// A modify absorbed by the pending create (fresh text is read
+		// anyway) or collapsed into the pending modify.
 	}
-}
-
-// hasCreate reports whether oid has a pending create entry (used to
-// route deletes of never-propagated objects into the log so the
-// create+delete pair can cancel).
-func (l *updateLog) hasCreate(oid oodb.OID) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ops[oid] == pendingCreate
 }
 
 // pending reports whether the log holds anything.
@@ -172,23 +165,19 @@ func (l *updateLog) seed(seq uint64) {
 }
 
 // drain atomically empties the log, returning the surviving
-// operations in first-logged order, whether creations were among them
-// (the flusher re-runs the specification query in that case), and the
-// watermark the drain empties through.
-func (l *updateLog) drain() ([]pendingOp, bool, uint64) {
+// operations — creations included: they are the delta the flush admits
+// new members from — in first-logged order, and the watermark the
+// drain empties through.
+func (l *updateLog) drain() ([]pendingOp, uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	ops := make([]pendingOp, 0, len(l.ops))
 	for _, oid := range l.order {
-		kind, ok := l.ops[oid]
-		if !ok || kind == pendingCreate {
-			continue // cancelled, or handled via spec re-run
+		if kind, ok := l.ops[oid]; ok { // !ok: cancelled
+			ops = append(ops, pendingOp{oid: oid, kind: kind})
 		}
-		ops = append(ops, pendingOp{oid: oid, kind: kind})
 	}
-	hadCreates := l.createCount > 0
 	l.ops = make(map[oodb.OID]pendingKind)
 	l.order = nil
-	l.createCount = 0
-	return ops, hadCreates, l.seq
+	return ops, l.seq
 }

@@ -62,9 +62,8 @@ type S2Result struct {
 	// batch, i.e. under the commit lock) and through the staged path
 	// (Analyze first, merge pre-built postings inside). Best of
 	// holdReps runs each.
-	LegacyHoldMS      float64
-	StagedHoldMS      float64
-	CommitHoldReduced bool
+	LegacyHoldMS float64
+	StagedHoldMS float64
 
 	FlushErrors int64
 }
@@ -251,8 +250,8 @@ func RunS2(w io.Writer) (*S2Result, error) {
 		fmt.Sprintf("%.1f", res.AsyncAvgGroup))
 	tab.AddRow("speedup", fmt.Sprintf("%.2fx", res.Speedup), "-", "-", "-")
 	tab.Fprint(w)
-	fmt.Fprintf(w, "commit-lock hold, same %d docs as one batch (best of %d): staged %.2fms vs pre-refactor analyze-under-lock %.2fms (reduced: %v)\n",
-		res.Paras, holdReps, res.StagedHoldMS, res.LegacyHoldMS, res.CommitHoldReduced)
+	fmt.Fprintf(w, "commit-lock hold, same %d docs as one batch (best of %d): staged %.2fms vs pre-refactor analyze-under-lock %.2fms\n",
+		res.Paras, holdReps, res.StagedHoldMS, res.LegacyHoldMS)
 	fmt.Fprintf(w, "async-run pipeline split: analyze %.2fms outside the lock, commit %.2fms inside\n", res.AnalyzeMS, res.CommitMS)
 	fmt.Fprintf(w, "rankings identical across pipelines: %v; flush errors: %d\n\n",
 		res.RankingsIdentical, res.FlushErrors)
@@ -319,6 +318,5 @@ func (res *S2Result) measureCommitHold() error {
 		}
 		*v.best = best
 	}
-	res.CommitHoldReduced = res.StagedHoldMS < res.LegacyHoldMS
 	return nil
 }

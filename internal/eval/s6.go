@@ -22,10 +22,12 @@ import (
 // while posting blocks stay in the read-only file mapping, decoded on
 // demand straight from mapped bytes.
 //
-// The experiment builds one persistent corpus and gates four
-// properties in-run: the mapped cold open is at least 10x faster than
-// the heap open of the very same file, steady-state top-k search over
-// the mapping stays within 15% of the heap path, rankings are
+// The experiment builds one persistent corpus, reports the cold-open
+// speedup of the mapped open over the heap open of the very same file
+// and the steady-state top-k overhead of searching through the mapping
+// (wall clock: reported, not gated — benchmark/ measures both over the
+// wire as reopen_s, irs.topk_heap_us and irs.topk_mapped_us), and
+// gates two deterministic properties in-run: rankings are
 // bit-identical between the two residencies for all four retrieval
 // models — including after identical mutations are overlaid on both
 // and after a save/reopen folds the mapped collection's overlay back
@@ -187,7 +189,7 @@ func RunS6(w io.Writer, shards int) (*S6Result, error) {
 	// Longer paragraphs raise postings (and positions) per document
 	// while the section tables the mapped open parses stay the same
 	// size — the gap under test is decode work, so keep decode work
-	// dominant over table parse with headroom beyond the 10x gate.
+	// dominant over table parse.
 	cfg.WordsRange = [2]int{40, 80}
 	corpus := workload.Generate(cfg)
 	{
@@ -417,12 +419,6 @@ func RunS6(w io.Writer, shards int) (*S6Result, error) {
 	}
 	if res.MappedBytes <= 0 {
 		return res, fmt.Errorf("EXP-S6 residency gate tripped: mapped collection reports no mapped bytes")
-	}
-	if res.OpenSpeedup < 10 {
-		return res, fmt.Errorf("EXP-S6 cold-open gate tripped: mapped open only %.1fx faster than heap (gate: >= 10x)", res.OpenSpeedup)
-	}
-	if res.SearchOverhead > 0.15 {
-		return res, fmt.Errorf("EXP-S6 steady-state gate tripped: mapped search %.1f%% over heap (gate: <= 15%%)", 100*res.SearchOverhead)
 	}
 	return res, nil
 }

@@ -39,11 +39,10 @@ import (
 // against a fixed 2ms group-commit window and against the adaptive
 // controller (AsyncCoalesce 0). The controller widens toward max
 // during bursts (bigger group commits, less per-commit overhead) and
-// narrows when idle, so adaptive ingest-to-drain throughput must be
-// at least the fixed window's (with slack for timer noise), reads
-// probed during ingest must not regress at the tail, and the drained
-// index must serve bit-identical rankings in both modes — group
-// commits may batch updates, never lose or reorder them.
+// narrows when idle. Ingest-to-drain throughput and the p99 of reads
+// probed during ingest are reported for both (wall clock, not gated);
+// the drained index must serve bit-identical rankings in both modes —
+// group commits may batch updates, never lose or reorder them.
 
 // S7Result is the outcome of EXP-S7.
 type S7Result struct {
@@ -62,7 +61,7 @@ type S7Result struct {
 	IngestDocs           int
 	FixedElapsed         time.Duration
 	AdaptiveElapsed      time.Duration
-	ThroughputRatio      float64 // fixed/adaptive elapsed; gate >= 1/s7ThroughputSlack
+	ThroughputRatio      float64 // fixed/adaptive elapsed (reported, not gated)
 	ReadP99Fixed         time.Duration
 	ReadP99Adaptive      time.Duration
 	CoalesceRankingsSame bool
@@ -80,14 +79,10 @@ const (
 	s7BurstBatch = 40 // documents per post
 	s7IdleGap    = 3 * time.Millisecond
 
-	// Gate slacks: the scored gate is deterministic (counter deltas),
-	// the throughput gate is wall-clock and runs on shared CI, so it
-	// gets headroom; the p99 gate guards against order-of-magnitude
-	// regressions, not scheduler noise.
-	s7ScoredGate      = 0.8
-	s7ThroughputSlack = 1.15
-	s7P99Slack        = 3.0
-	s7P99Floor        = 5 * time.Millisecond
+	// The scored gate is deterministic (counter deltas). Ingest
+	// throughput and read p99 of the coalescing A/B are wall clock:
+	// reported, not gated.
+	s7ScoredGate = 0.8
 )
 
 // s7System is one server under test with its HTTP frontend.
@@ -434,8 +429,8 @@ func RunS7(w io.Writer) (*S7Result, error) {
 	tab.Fprint(w)
 	fmt.Fprintf(w, "cache: 2q scored %.1f%% of lru's candidates (gate <= %.0f%%), evicted-cost %.4fs, rankings identical: %v\n",
 		100*res.ScoredRatio, 100*s7ScoredGate, res.EvictedCost2Q, res.CacheRankingsSame)
-	fmt.Fprintf(w, "coalesce: adaptive/fixed throughput %.2fx (gate >= %.2fx), rankings identical: %v\n\n",
-		res.ThroughputRatio, 1/s7ThroughputSlack, res.CoalesceRankingsSame)
+	fmt.Fprintf(w, "coalesce: adaptive/fixed throughput %.2fx, rankings identical: %v\n\n",
+		res.ThroughputRatio, res.CoalesceRankingsSame)
 
 	if !res.CacheRankingsSame {
 		return res, fmt.Errorf("EXP-S7 cache gate tripped: rankings differ between cache policies")
@@ -446,14 +441,6 @@ func RunS7(w io.Writer) (*S7Result, error) {
 	}
 	if !res.CoalesceRankingsSame {
 		return res, fmt.Errorf("EXP-S7 coalesce gate tripped: rankings differ between fixed and adaptive windows")
-	}
-	if res.AdaptiveElapsed > time.Duration(float64(res.FixedElapsed)*s7ThroughputSlack) {
-		return res, fmt.Errorf("EXP-S7 coalesce gate tripped: adaptive ingest %v vs fixed %v (gate: adaptive <= fixed x %.2f)",
-			res.AdaptiveElapsed, res.FixedElapsed, s7ThroughputSlack)
-	}
-	if limit := time.Duration(float64(res.ReadP99Fixed)*s7P99Slack) + s7P99Floor; res.ReadP99Adaptive > limit {
-		return res, fmt.Errorf("EXP-S7 coalesce gate tripped: read p99 %v under adaptive vs %v fixed (limit %v)",
-			res.ReadP99Adaptive, res.ReadP99Fixed, limit)
 	}
 	return res, nil
 }

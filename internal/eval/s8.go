@@ -29,11 +29,9 @@ import (
 // appends) and always (fsync per append) — twice each: a synchronous
 // phase that flushes after every document (each document is its own
 // durability point) and an asynchronous phase where the background
-// flusher group-commits. The gate holds the default to its design
-// point: group-fsync ingest must stay within s8OverheadSlack of the
-// WAL-off baseline in both phases. The always policy is reported as
-// trajectory, not gated — paying a disk round-trip per append is a
-// choice, not a regression.
+// flusher group-commits. The group/off elapsed ratios are reported —
+// wall clock, so not gated here; benchmark/'s ingest_serve workload
+// runs under the group policy and gates the end-to-end cost.
 //
 // Benefit: every variant must serve bit-identical rankings (the log
 // is write-ahead of the same commits, never a different index), and
@@ -52,7 +50,7 @@ type S8Result struct {
 	// the WAL entirely).
 	Sync  map[string]time.Duration
 	Async map[string]time.Duration
-	// Overhead ratios: group elapsed / off elapsed (gate <= s8OverheadSlack).
+	// Overhead ratios: group elapsed / off elapsed (reported, not gated).
 	SyncOverhead  float64
 	AsyncOverhead float64
 	// RankingsSame: all six variants serve bit-identical rankings.
@@ -76,10 +74,6 @@ const (
 	// replay — the experiment is about surviving a real log, not a
 	// toy tail.
 	s8MinOps = 4000
-	// s8OverheadSlack bounds group-fsync ingest against the WAL-off
-	// baseline: elapsed(group) <= elapsed(off) × slack, i.e. WAL-on
-	// throughput >= WAL-off / 1.25.
-	s8OverheadSlack = 1.25
 )
 
 // s8Models and s8Queries span the ranking surface the durability
@@ -348,8 +342,8 @@ func RunS8(w io.Writer) (*S8Result, error) {
 			fms(float64(res.Async[name].Microseconds())/1000))
 	}
 	tab.Fprint(w)
-	fmt.Fprintf(w, "overhead: group/off sync %.2fx, async %.2fx (gate <= %.2fx); rankings identical across variants: %v\n",
-		res.SyncOverhead, res.AsyncOverhead, s8OverheadSlack, res.RankingsSame)
+	fmt.Fprintf(w, "overhead: group/off sync %.2fx, async %.2fx; rankings identical across variants: %v\n",
+		res.SyncOverhead, res.AsyncOverhead, res.RankingsSame)
 	fmt.Fprintf(w, "wal (sync/group at drain): %d bytes, %d appends, %d fsyncs\n",
 		res.WALBytes, res.WALAppends, res.WALFsyncs)
 	fmt.Fprintf(w, "recovery: replayed %d ops (floor %d), rankings identical: %v; /stats wal block: %v, /metrics wal series: %v\n\n",
@@ -363,14 +357,6 @@ func RunS8(w io.Writer) (*S8Result, error) {
 	}
 	if res.RecoveredOps < s8MinOps {
 		return res, fmt.Errorf("EXP-S8 gate tripped: recovery replayed %d ops, want >= %d", res.RecoveredOps, s8MinOps)
-	}
-	if res.SyncOverhead > s8OverheadSlack {
-		return res, fmt.Errorf("EXP-S8 gate tripped: sync group-fsync ingest %.2fx the WAL-off baseline (gate <= %.2fx)",
-			res.SyncOverhead, s8OverheadSlack)
-	}
-	if res.AsyncOverhead > s8OverheadSlack {
-		return res, fmt.Errorf("EXP-S8 gate tripped: async group-fsync ingest %.2fx the WAL-off baseline (gate <= %.2fx)",
-			res.AsyncOverhead, s8OverheadSlack)
 	}
 	if !res.StatsWAL {
 		return res, fmt.Errorf("EXP-S8 gate tripped: /stats wal block missing or empty")

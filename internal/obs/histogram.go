@@ -17,7 +17,6 @@ type Histogram struct {
 	name   string // metric name, e.g. "mmf_http_request_seconds"
 	labels string // canonical label list, e.g. `endpoint="search"`
 
-	count   atomic.Int64
 	sum     atomic.Int64 // nanoseconds
 	max     atomic.Int64 // nanoseconds
 	buckets [numBuckets]atomic.Int64
@@ -78,7 +77,6 @@ func (h *Histogram) ObserveNanos(ns int64) {
 		ns = 0
 	}
 	h.buckets[bucketIndex(ns)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(ns)
 	for {
 		old := h.max.Load()
@@ -92,9 +90,11 @@ func (h *Histogram) ObserveNanos(ns int64) {
 // defer h.Since(time.Now()) or an explicit pair around a stage.
 func (h *Histogram) Since(t0 time.Time) { h.Observe(time.Since(t0)) }
 
-// HistSnapshot is a point-in-time copy of a histogram. Concurrent
-// records during the copy can skew individual buckets by an
-// observation — fine for metrics, documented for tests.
+// HistSnapshot is a point-in-time copy of a histogram. Count is the
+// sum of the copied buckets, so quantiles always rank against exactly
+// the observations the snapshot holds; concurrent records during the
+// copy can leave SumNS and MaxNS an observation ahead or behind — fine
+// for metrics, documented for tests.
 type HistSnapshot struct {
 	Count  int64
 	SumNS  int64
@@ -108,11 +108,11 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	if h == nil {
 		return s
 	}
-	s.Count = h.count.Load()
 	s.SumNS = h.sum.Load()
 	s.MaxNS = h.max.Load()
 	for i := range h.buckets {
 		s.counts[i] = h.buckets[i].Load()
+		s.Count += s.counts[i]
 	}
 	return s
 }

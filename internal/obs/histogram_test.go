@@ -87,10 +87,15 @@ func TestHistogramConcurrentRecordSnapshot(t *testing.T) {
 			for _, c := range s.counts {
 				cum += c
 			}
-			// A snapshot is not atomic across fields, but bucket sums
-			// can never exceed the count observed afterwards.
-			if cum > h.count.Load() {
-				t.Error("bucket sum exceeds count")
+			// A snapshot taken amid records must still rank against
+			// exactly the observations it holds, and can never hold
+			// more than a snapshot taken afterwards.
+			if cum != s.Count {
+				t.Errorf("bucket sum %d != snapshot count %d", cum, s.Count)
+				return
+			}
+			if later := h.Snapshot().Count; cum > later {
+				t.Errorf("bucket sum %d exceeds later count %d", cum, later)
 				return
 			}
 			s.Quantile(0.99)

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -138,6 +140,21 @@ func TestStatsPipelineMetrics(t *testing.T) {
 	}
 	if pipe["flush_errors"].(float64) != 0 {
 		t.Errorf("flush errors: %v (%v)", pipe["flush_errors"], pipe["last_flush_error"])
+	}
+	// collPara's specification is a single binding: the new document's
+	// paragraphs came in from the update log, with no re-run over the
+	// extent, and /metrics tells the same story.
+	if coll["delta_admitted"].(float64) == 0 || coll["spec_reruns"].(float64) != 0 {
+		t.Errorf("delta_admitted = %v (want > 0), spec_reruns = %v (want 0)", coll["delta_admitted"], coll["spec_reruns"])
+	}
+	metrics := getText(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		`mmf_spec_reruns_total{collection="collPara"} 0`,
+		fmt.Sprintf(`mmf_delta_admitted_total{collection="collPara"} %v`, coll["delta_admitted"]),
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
 	}
 }
 

@@ -172,6 +172,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"ops_applied":       cs.OpsApplied,
 			"flushes":           cs.Flushes,
 			"indexed":           cs.Indexed,
+			"spec_reruns":       cs.SpecReruns,
+			"delta_admitted":    cs.DeltaAdmitted,
 			"shards":            ix.ShardCount(),
 			"snapshots":         ix.SnapshotCount(),
 			"shard_bytes":       ix.ShardSizes(),
@@ -356,6 +358,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("mmf_uptime_seconds", "Seconds since the server started.",
 		time.Since(s.start).Seconds())
 	backlog := int64(0)
+	var reruns, admitted []any
 	fmt.Fprintf(&b, "# HELP mmf_coalesce_window_seconds Current group-commit coalescing window per collection.\n"+
 		"# TYPE mmf_coalesce_window_seconds gauge\n")
 	for _, name := range s.sys.Collections() {
@@ -363,8 +366,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			backlog += int64(col.PendingOps())
 			fmt.Fprintf(&b, "mmf_coalesce_window_seconds{collection=%q} %s\n",
 				name, strconv.FormatFloat(col.CoalesceWindow().Seconds(), 'g', -1, 64))
+			reruns = append(reruns, "collection", name, col.Stats().SpecReruns.Load())
+			admitted = append(admitted, "collection", name, col.Stats().DeltaAdmitted.Load())
 		}
 	}
+	counter("mmf_spec_reruns_total", "Flushes that re-ran the specification query over the extent.", reruns...)
+	counter("mmf_delta_admitted_total", "New members admitted from logged creations without an extent scan.", admitted...)
 	gauge("mmf_propagation_backlog", "Pending propagation ops across collections.",
 		float64(backlog))
 	obs.Default.WritePrometheus(&b)

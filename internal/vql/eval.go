@@ -241,6 +241,21 @@ func (ev *Evaluator) Execute(p *Plan) (*ResultSet, error) {
 	return rs, nil
 }
 
+// vanished reports whether an object bound in b has been deleted
+// since its binding domain was materialised. Queries read the live
+// database without snapshot isolation, so a delete committed while one
+// runs can make an expression over such a candidate fail (a method
+// call on a missing object, a path that now ends in null); the
+// candidate then drops out of the result instead of failing the query.
+func (ev *Evaluator) vanished(b bindings) bool {
+	for _, oid := range b {
+		if !ev.db.Exists(oid) {
+			return true
+		}
+	}
+	return false
+}
+
 // loop is the nested-loop join over binding domains with predicates
 // applied at the earliest depth where their variables are bound.
 func (ev *Evaluator) loop(p *Plan, depth int, b bindings, rs *ResultSet) error {
@@ -249,6 +264,9 @@ func (ev *Evaluator) loop(p *Plan, depth int, b bindings, rs *ResultSet) error {
 		for i, e := range p.query.Access {
 			v, err := ev.eval(e, b)
 			if err != nil {
+				if ev.vanished(b) {
+					return nil
+				}
 				return err
 			}
 			row[i] = v
@@ -269,10 +287,10 @@ func (ev *Evaluator) loop(p *Plan, depth int, b bindings, rs *ResultSet) error {
 		ok := true
 		for _, pred := range d.preds {
 			v, err := ev.eval(pred.expr, b)
-			if err != nil {
+			if err != nil && !ev.vanished(b) {
 				return err
 			}
-			if !v.Truthy() {
+			if err != nil || !v.Truthy() {
 				ok = false
 				break
 			}

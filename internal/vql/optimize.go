@@ -50,15 +50,29 @@ func (p *Plan) Describe() string {
 
 // PlanQuery prepares an execution plan for q under strategy s.
 func (ev *Evaluator) PlanQuery(q *Query, s Strategy) (*Plan, error) {
+	return ev.plan(q, s, func(b Binding) []oodb.OID { return ev.db.Extent(b.Class, true) })
+}
+
+// PlanQueryOver is PlanQuery for a single-binding query with the FROM
+// variable bound to oids instead of the class extent: the query is
+// evaluated over exactly those objects, in the order given. The caller
+// vouches that they are instances of the FROM class — update
+// propagation decides membership of newly created objects this way,
+// without touching the extent.
+func (ev *Evaluator) PlanQueryOver(q *Query, s Strategy, oids []oodb.OID) (*Plan, error) {
+	if len(q.From) != 1 {
+		return nil, fmt.Errorf("vql: PlanQueryOver needs one FROM binding, query has %d", len(q.From))
+	}
+	return ev.plan(q, s, func(Binding) []oodb.OID { return oids })
+}
+
+func (ev *Evaluator) plan(q *Query, s Strategy, domainOf func(Binding) []oodb.OID) (*Plan, error) {
 	p := &Plan{query: q}
 	for _, b := range q.From {
 		if _, ok := ev.db.Class(b.Class); !ok {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownClass, b.Class)
 		}
-		p.domains = append(p.domains, domain{
-			binding: b,
-			oids:    ev.db.Extent(b.Class, true),
-		})
+		p.domains = append(p.domains, domain{binding: b, oids: domainOf(b)})
 	}
 	conjuncts := splitConjuncts(q.Where)
 

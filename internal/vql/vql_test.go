@@ -478,3 +478,77 @@ func TestDistinct(t *testing.T) {
 		t.Errorf("distinct (d,p) rows = %d, want 4", len(rs.Rows))
 	}
 }
+
+// TestPlanQueryOver: a parsed single-binding query evaluated with its
+// FROM variable bound to supplied objects selects, in the order given,
+// exactly those of them the extent-wide run selects; the query value
+// is reusable across plans, and a join is refused.
+func TestPlanQueryOver(t *testing.T) {
+	fx := newFixture(t)
+	q, err := Parse(`ACCESS p FROM p IN PARA WHERE p -> getContaining('MMFDOC') -> getAttributeValue('YEAR') = '1994';`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(plan *Plan, err error) []oodb.OID {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, err := fx.ev.Execute(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []oodb.OID
+		for _, row := range rs.Rows {
+			out = append(out, row[0].Ref)
+		}
+		return out
+	}
+	all := run(fx.ev.PlanQuery(q, StrategyAuto))
+	if len(all) != 2 || all[0] != fx.paras[0] || all[1] != fx.paras[1] {
+		t.Fatalf("extent run = %v, want the 1994 document's paragraphs %v", all, fx.paras[:2])
+	}
+	// One qualifying and one non-qualifying candidate, reversed order.
+	if got := run(fx.ev.PlanQueryOver(q, StrategyAuto, []oodb.OID{fx.paras[3], fx.paras[1]})); len(got) != 1 || got[0] != fx.paras[1] {
+		t.Errorf("over {1995 para, 1994 para} = %v, want [%v]", got, fx.paras[1])
+	}
+	if got := run(fx.ev.PlanQueryOver(q, StrategyAuto, []oodb.OID{fx.paras[1], fx.paras[0]})); len(got) != 2 || got[0] != fx.paras[1] {
+		t.Errorf("supplied order not kept: %v", got)
+	}
+	join, err := Parse(`ACCESS p FROM p IN PARA, d IN MMFDOC WHERE p -> getContaining('MMFDOC') == d;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fx.ev.PlanQueryOver(join, StrategyAuto, fx.paras); err == nil {
+		t.Error("PlanQueryOver accepted a two-binding query")
+	}
+}
+
+// TestCandidateDeletedMidQueryDropsOut: a candidate deleted after its
+// binding domain was materialised fails the predicate's method call;
+// it must leave the result, not fail the query.
+func TestCandidateDeletedMidQueryDropsOut(t *testing.T) {
+	fx := newFixture(t)
+	q, err := Parse(`ACCESS p FROM p IN PARA WHERE p -> length() > 0;`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := fx.ev.PlanQuery(q, StrategyAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.db.DeleteObject(fx.paras[2]); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := fx.ev.Execute(plan)
+	if err != nil {
+		t.Fatalf("query failed on a concurrently deleted candidate: %v", err)
+	}
+	if len(rs.Rows) != 3 {
+		t.Errorf("rows = %d, want the 3 surviving paragraphs", len(rs.Rows))
+	}
+	// A failing predicate over a live object is still an error.
+	if _, err := fx.ev.Run(`ACCESS p FROM p IN PARA WHERE p -> noSuchMethod() > 0;`); err == nil {
+		t.Error("unknown method on a live object did not fail the query")
+	}
+}
