@@ -100,12 +100,7 @@ func BenchmarkServerQueryParallel(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
 	}
 	b.Run("cold", func(b *testing.B) { run(b, server.Config{CacheSize: -1}, benchShards()) })
-	b.Run("warm-2q", func(b *testing.B) {
-		run(b, server.Config{CacheSize: 1024, CachePolicy: server.CachePolicy2Q}, benchShards())
-	})
-	b.Run("warm-lru", func(b *testing.B) {
-		run(b, server.Config{CacheSize: 1024, CachePolicy: server.CachePolicyLRU}, benchShards())
-	})
+	b.Run("warm-2q", func(b *testing.B) { run(b, server.Config{CacheSize: 1024}, benchShards()) })
 	b.Run("cold-1shard", func(b *testing.B) { run(b, server.Config{CacheSize: -1}, 1) })
 	// The obs-off variant of cold: the A/B counterpart for measuring
 	// what the always-on histograms/traces cost on the serving path

@@ -337,7 +337,7 @@ func BenchmarkIngestAsync(b *testing.B) {
 		opts core.Options
 	}{
 		{"sync", core.Options{Policy: core.PropagateImmediately}},
-		{"async", core.Options{Policy: core.PropagateAsync, AsyncCoalesce: time.Millisecond}},
+		{"async", core.Options{Policy: core.PropagateAsync, AsyncCoalesceMin: time.Millisecond, AsyncCoalesceMax: time.Millisecond}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			s := newBenchSystem(b, workload.DefaultConfig())

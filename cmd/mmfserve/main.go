@@ -25,17 +25,16 @@
 // scored per collection), and the query cache keys on the limit's
 // k-bucket so nearby limits share one evaluation.
 //
-// The query cache is cost-aware 2Q by default (-cache-policy 2q):
-// admission through a probationary queue keeps one-shot scans from
-// flushing the hot set, and eviction keeps entries by frequency ×
-// measured rebuild cost. -cache-policy lru selects the plain recency
-// LRU as an A/B baseline.
+// The query cache is cost-aware 2Q (-cache-size entries): admission
+// through a probationary queue keeps one-shot scans from flushing the
+// hot set, and eviction keeps entries by frequency × measured rebuild
+// cost.
 //
 // Async ingest (collections created with "policy":"async" propagate
 // through a background group-commit flusher; tune with
-// -async-max-pending / -async-coalesce / -compact-ratio — by default
-// the coalescing window adapts to load inside [-async-coalesce-min,
-// -async-coalesce-max]):
+// -async-max-pending / -compact-ratio — the coalescing window adapts
+// to load inside [-async-coalesce-min, -async-coalesce-max], and equal
+// bounds fix it):
 //
 //	curl -s -X POST localhost:8080/documents \
 //	     -d '{"dtd":"mmf","mode":"async","documents":["<MMFDOC>..."]}'   # 202 + watermarks
@@ -100,13 +99,10 @@ func main() {
 	flag.StringVar(&opts.logLevel, "log-level", "info", "minimum log level: debug, info, warn or error")
 	flag.IntVar(&opts.cfg.MaxConcurrent, "max-concurrent", 0, "concurrent evaluation bound (0: 4×GOMAXPROCS)")
 	flag.IntVar(&opts.cfg.CacheSize, "cache-size", 1024, "query cache entries (negative: disable)")
-	flag.DurationVar(&opts.cfg.CacheTTL, "cache-ttl", 0, "query cache entry lifetime (0: no expiry; epochs still invalidate on mutation)")
-	flag.StringVar(&opts.cfg.CachePolicy, "cache-policy", server.CachePolicy2Q, "query cache replacement policy: 2q (cost-aware, probationary admission) or lru (recency baseline)")
 	flag.DurationVar(&opts.cfg.QueueTimeout, "queue-timeout", 5*time.Second, "admission wait bound")
 	flag.IntVar(&opts.cfg.AsyncMaxPending, "async-max-pending", 0, "pending-update bound per async collection before ingest sheds 503 (0: 4096; negative: unbounded)")
-	flag.DurationVar(&opts.cfg.AsyncCoalesce, "async-coalesce", 0, "group-commit window of the async ingest flusher (0: adaptive inside [-async-coalesce-min, -async-coalesce-max]; positive: fixed; negative: flush immediately)")
-	flag.DurationVar(&opts.cfg.AsyncCoalesceMin, "async-coalesce-min", 0, "adaptive coalescing window floor (0: 250µs)")
-	flag.DurationVar(&opts.cfg.AsyncCoalesceMax, "async-coalesce-max", 0, "adaptive coalescing window ceiling (0: 8ms)")
+	flag.DurationVar(&opts.cfg.AsyncCoalesceMin, "async-coalesce-min", 0, "async flusher's group-commit window floor (0: 250µs)")
+	flag.DurationVar(&opts.cfg.AsyncCoalesceMax, "async-coalesce-max", 0, "async flusher's group-commit window ceiling (0: 8ms; equal to the floor: a fixed window)")
 	flag.Float64Var(&opts.cfg.CompactRatio, "compact-ratio", 0.5, "tombstone ratio that triggers background index compaction (0: disable)")
 	flag.DurationVar(&opts.cfg.SlowQueryThreshold, "slow-query", 0, "duration admitting a request trace to /debug/slowlog (0: 250ms; negative: disable)")
 	flag.IntVar(&opts.cfg.SlowLogSize, "slowlog-size", 0, "slow-log ring capacity (0: 128)")
@@ -149,13 +145,6 @@ func run(opts options) error {
 		return err
 	}
 	slog.SetDefault(logger)
-
-	switch opts.cfg.CachePolicy {
-	case "", server.CachePolicy2Q, server.CachePolicyLRU:
-	default:
-		return fmt.Errorf("unknown -cache-policy %q (want %s or %s)",
-			opts.cfg.CachePolicy, server.CachePolicy2Q, server.CachePolicyLRU)
-	}
 
 	sys, err := docirs.OpenWith(opts.dbDir, docirs.OpenOptions{
 		MappedIRS: opts.mmap,

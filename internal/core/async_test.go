@@ -27,7 +27,7 @@ func waitUntil(t *testing.T, d time.Duration, what string, cond func() bool) {
 func TestPropagateAsyncBackground(t *testing.T) {
 	fx := newFixture(t, "")
 	fx.addDoc("1994", "webdoc", "the world wide web", "the national infrastructure")
-	col := fx.paraColl(Options{Policy: PropagateAsync, AsyncCoalesce: time.Millisecond})
+	col := fx.paraColl(Options{Policy: PropagateAsync, AsyncCoalesceMin: time.Millisecond, AsyncCoalesceMax: time.Millisecond})
 	if got := col.Policy().String(); got != "async" {
 		t.Fatalf("policy = %q, want async", got)
 	}
@@ -62,7 +62,7 @@ func TestPropagateAsyncBackground(t *testing.T) {
 func TestAsyncDrain(t *testing.T) {
 	fx := newFixture(t, "")
 	fx.addDoc("1994", "webdoc", "the world wide web", "the national infrastructure")
-	col := fx.paraColl(Options{Policy: PropagateAsync, AsyncCoalesce: time.Hour})
+	col := fx.paraColl(Options{Policy: PropagateAsync, AsyncCoalesceMin: time.Hour, AsyncCoalesceMax: time.Hour})
 	para := fx.paras(fx.docs[0])[0]
 	if err := fx.store.SetText(fx.store.Children(para)[0], "hypertext on the web"); err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestAsyncDrain(t *testing.T) {
 func TestAsyncQueryForcesFlush(t *testing.T) {
 	fx := newFixture(t, "")
 	fx.addDoc("1994", "webdoc", "the world wide web", "the national infrastructure")
-	col := fx.paraColl(Options{Policy: PropagateAsync, AsyncCoalesce: time.Hour})
+	col := fx.paraColl(Options{Policy: PropagateAsync, AsyncCoalesceMin: time.Hour, AsyncCoalesceMax: time.Hour})
 	para := fx.paras(fx.docs[0])[0]
 	if err := fx.store.SetText(fx.store.Children(para)[0], "multimedia frameworks"); err != nil {
 		t.Fatal(err)
@@ -122,7 +122,7 @@ func TestAsyncBacklogBound(t *testing.T) {
 	fx := newFixture(t, "")
 	fx.addDoc("1994", "webdoc", "one paragraph", "two paragraph", "three paragraph")
 	col := fx.paraColl(Options{
-		Policy: PropagateAsync, AsyncCoalesce: time.Hour, AsyncMaxPending: 2,
+		Policy: PropagateAsync, AsyncCoalesceMin: time.Hour, AsyncCoalesceMax: time.Hour, AsyncMaxPending: 2,
 	})
 	if col.AsyncMaxPending() != 2 {
 		t.Fatalf("AsyncMaxPending = %d", col.AsyncMaxPending())
@@ -181,7 +181,7 @@ func TestImmediateFlushErrorsObservable(t *testing.T) {
 func TestAsyncPolicySwitch(t *testing.T) {
 	fx := newFixture(t, "")
 	fx.addDoc("1994", "webdoc", "the world wide web")
-	col := fx.paraColl(Options{Policy: PropagateAsync, AsyncCoalesce: time.Millisecond})
+	col := fx.paraColl(Options{Policy: PropagateAsync, AsyncCoalesceMin: time.Millisecond, AsyncCoalesceMax: time.Millisecond})
 	col.SetPolicy(PropagateManually)
 	para := fx.paras(fx.docs[0])[0]
 	if err := fx.store.SetText(fx.store.Children(para)[0], "manual text"); err != nil {
@@ -205,7 +205,7 @@ func TestAsyncConcurrentMutationsAndQueries(t *testing.T) {
 	fx := newFixture(t, "")
 	fx.addDoc("1994", "webdoc",
 		"alpha text", "beta text", "gamma text", "delta text")
-	col := fx.paraColl(Options{Policy: PropagateAsync, AsyncCoalesce: time.Millisecond,
+	col := fx.paraColl(Options{Policy: PropagateAsync, AsyncCoalesceMin: time.Millisecond, AsyncCoalesceMax: time.Millisecond,
 		Shards: 4})
 	paras := fx.paras(fx.docs[0])
 	const rounds = 20

@@ -89,18 +89,15 @@ type Collection struct {
 
 	// Async-ingest machinery (PropagateAsync): the background flusher
 	// and its tuning, all guarded by mu (ConfigureAsync may retune at
-	// runtime). asyncCoalesce == 0 selects the adaptive controller:
-	// the flusher moves its group-commit window inside
+	// runtime). The flusher moves its group-commit window inside
 	// [asyncCoalesceMin, asyncCoalesceMax] with observed arrival rate
-	// and queue depth. Positive pins a fixed window; adaptive state
-	// lives in coalesceNanos (atomic: read by /stats off the lock).
+	// and queue depth; the current window lives in coalesceNanos
+	// (atomic: read by /stats off the lock).
 	flusher          *flusher
 	asyncMaxPending  int           // backlog bound; <=0 unbounded
-	asyncCoalesce    time.Duration // fixed window; 0 = adaptive
-	asyncAdaptive    bool          // coalesce window under controller
-	asyncCoalesceMin time.Duration // adaptive floor (idle latency)
-	asyncCoalesceMax time.Duration // adaptive ceiling (burst batching)
-	coalesceNanos    atomic.Int64  // current effective window
+	asyncCoalesceMin time.Duration // window floor (idle latency)
+	asyncCoalesceMax time.Duration // window ceiling (burst batching)
+	coalesceNanos    atomic.Int64  // current window
 
 	errMu        sync.Mutex
 	lastFlushErr string
@@ -115,7 +112,7 @@ type Collection struct {
 }
 
 // Default async-ingest tuning (see Options.AsyncMaxPending /
-// Options.AsyncCoalesce). The adaptive window bounds span the old
+// Options.AsyncCoalesceMin). The window bounds span the old
 // fixed 2ms constant: an idle collection flushes after 250µs (8×
 // lower added latency than the fixed window), a bursty one widens to
 // 8ms for 4× larger group commits.
@@ -195,7 +192,7 @@ func newCollection(c *Coupling, oid oodb.OID, name, specQuery string, spec *vql.
 		policy:     policy,
 		log:        newUpdateLog(),
 	}
-	col.setAsyncTuning(0, 0)
+	col.setAsyncTuning(0, 0, 0)
 	col.buffer = newResultBuffer(col)
 	// When the engine attached a write-ahead log, ride the group fsync
 	// on this collection's commit-coalescing window and surface failed

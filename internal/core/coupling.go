@@ -270,18 +270,14 @@ type Options struct {
 	// shed ingest load (503) until the flusher catches up. 0 selects
 	// the default (4096); negative means unbounded.
 	AsyncMaxPending int
-	// AsyncCoalesce is the background flusher's group-commit window:
-	// after the first pending update it waits this long for more
-	// before flushing them as one batch. 0 (the default) makes the
-	// window adaptive — the flusher moves it inside
-	// [AsyncCoalesceMin, AsyncCoalesceMax] with observed arrival rate
-	// and queue depth, short when idle for latency, wide under burst
-	// for larger group commits. Positive pins a fixed window;
-	// negative flushes immediately.
-	AsyncCoalesce time.Duration
-	// AsyncCoalesceMin/Max bound the adaptive coalescing window. 0
-	// selects the defaults (250µs / 8ms). Ignored while AsyncCoalesce
-	// pins a fixed window.
+	// AsyncCoalesceMin/Max bound the background flusher's
+	// group-commit window: after the first pending update it waits
+	// out the window for more before flushing them as one batch. The
+	// flusher moves the window inside [AsyncCoalesceMin,
+	// AsyncCoalesceMax] with observed arrival rate and queue depth,
+	// short when idle for latency, wide under burst for larger group
+	// commits. Equal bounds fix the window. 0 selects the defaults
+	// (250µs / 8ms).
 	AsyncCoalesceMin time.Duration
 	AsyncCoalesceMax time.Duration
 	// AutoCompactRatio enables tombstone-ratio-triggered background
@@ -350,8 +346,7 @@ func (c *Coupling) CreateCollection(name, specQuery string, opts Options) (*Coll
 	}
 	col := newCollection(c, oid, name, specQuery, spec, opts.TextMode, irsColl, deriver, opts.Policy)
 	col.textFn = opts.TextFunc
-	col.setAsyncBounds(opts.AsyncCoalesceMin, opts.AsyncCoalesceMax)
-	col.setAsyncTuning(opts.AsyncMaxPending, opts.AsyncCoalesce)
+	col.setAsyncTuning(opts.AsyncMaxPending, opts.AsyncCoalesceMin, opts.AsyncCoalesceMax)
 	if opts.AutoCompactRatio > 0 {
 		irsColl.SetAutoCompact(opts.AutoCompactRatio, opts.AutoCompactMin)
 	}

@@ -50,7 +50,7 @@ func TestDeltaMatchesFullRerunProperty(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprintf("%s/where=%v/seed%d", policy, spec != specAllParas, seed), func(t *testing.T) {
 					fx := newFixture(t, "")
-					opts := Options{Policy: policy, AsyncCoalesce: 200 * time.Microsecond}
+					opts := Options{Policy: policy, AsyncCoalesceMin: 200 * time.Microsecond, AsyncCoalesceMax: 200 * time.Microsecond}
 					delta, err := fx.coupling.CreateCollection("delta", spec, opts)
 					if err != nil {
 						t.Fatal(err)

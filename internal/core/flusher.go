@@ -13,14 +13,14 @@ import (
 // pipeline — the log's cancellation rules (Section 4.6) then collapse
 // redundant work and the whole group commits as a single index batch.
 //
-// The window is either pinned (a positive AsyncCoalesce) or adaptive:
-// after every flush the controller re-targets it inside
+// After every flush the controller re-targets the window inside
 // [asyncCoalesceMin, asyncCoalesceMax] from the observed arrival rate
 // (EWMA of ops logged per second) and the pending-queue depth. An
 // idle collection converges on the floor — a lone update waits
 // microseconds, not the full window — while a burst drives the window
 // toward the ceiling, where each flush amortizes over a larger group
 // commit and the log's cancellation rules see more collapsible work.
+// Equal bounds give the controller a constant target: a fixed window.
 //
 // The flusher owns no data: everything flows through Collection.Flush,
 // which serializes with query-forced and manual flushes, so a query
@@ -61,16 +61,15 @@ func (f *flusher) loop() {
 			return
 		case <-f.kick:
 		}
-		if w := f.col.CoalesceWindow(); w > 0 {
-			hist.Observe(w)
-			t := time.NewTimer(w)
-			select {
-			case <-f.stop:
-				t.Stop()
-				f.flush() // don't strand the updates that woke us
-				return
-			case <-t.C:
-			}
+		w := f.col.CoalesceWindow()
+		hist.Observe(w)
+		t := time.NewTimer(w)
+		select {
+		case <-f.stop:
+			t.Stop()
+			f.flush() // don't strand the updates that woke us
+			return
+		case <-t.C:
 		}
 		f.flush()
 		f.adapt()
@@ -104,13 +103,10 @@ const (
 func (f *flusher) adapt() {
 	col := f.col
 	col.mu.RLock()
-	adaptive := col.asyncAdaptive
 	min, max := col.asyncCoalesceMin, col.asyncCoalesceMax
 	depthCap := col.asyncMaxPending
+	prev := col.coalesceNanos.Load()
 	col.mu.RUnlock()
-	if !adaptive {
-		return
-	}
 	now := time.Now()
 	dt := now.Sub(f.lastAt)
 	if dt <= 0 {
@@ -123,9 +119,11 @@ func (f *flusher) adapt() {
 	alpha := float64(dt) / float64(dt+coalesceRateTau)
 	f.ewmaRate += alpha * (inst - f.ewmaRate)
 	f.lastOps, f.lastAt = ops, now
-	next := adaptCoalesceWindow(time.Duration(col.coalesceNanos.Load()),
+	next := adaptCoalesceWindow(time.Duration(prev),
 		f.ewmaRate, col.PendingOps(), depthCap, min, max)
-	col.coalesceNanos.Store(int64(next))
+	// A ConfigureAsync since the read above re-seeded the window under
+	// new bounds; a step computed from the old ones must not replace it.
+	col.coalesceNanos.CompareAndSwap(prev, int64(next))
 }
 
 // adaptCoalesceWindow is one step of the window controller, pure so
@@ -190,12 +188,12 @@ func (col *Collection) stopFlusher() {
 	}
 }
 
-// setAsyncTuning normalizes and stores the async-ingest tuning. For
-// maxPending, 0 selects the default and negative unbounds the queue.
-// For coalesce, 0 selects the adaptive controller (the default),
-// positive pins that fixed window, negative flushes immediately. The
-// caller holds col.mu, or the collection is not yet published.
-func (col *Collection) setAsyncTuning(maxPending int, coalesce time.Duration) {
+// setAsyncTuning normalizes and stores the async-ingest tuning and
+// re-seeds the coalescing window at the new floor. For maxPending, 0
+// selects the default and negative unbounds the queue. For the window
+// bounds, 0 selects the defaults and max is clamped to at least min.
+// The caller holds col.mu, or the collection is not yet published.
+func (col *Collection) setAsyncTuning(maxPending int, min, max time.Duration) {
 	switch {
 	case maxPending == 0:
 		col.asyncMaxPending = defaultAsyncMaxPending
@@ -204,32 +202,6 @@ func (col *Collection) setAsyncTuning(maxPending int, coalesce time.Duration) {
 	default:
 		col.asyncMaxPending = maxPending
 	}
-	if col.asyncCoalesceMin == 0 {
-		col.asyncCoalesceMin = defaultAsyncCoalesceMin
-	}
-	if col.asyncCoalesceMax == 0 {
-		col.asyncCoalesceMax = defaultAsyncCoalesceMax
-	}
-	switch {
-	case coalesce == 0:
-		col.asyncAdaptive = true
-		col.asyncCoalesce = 0
-		col.coalesceNanos.Store(int64(col.asyncCoalesceMin))
-	case coalesce < 0:
-		col.asyncAdaptive = false
-		col.asyncCoalesce = 0
-		col.coalesceNanos.Store(0)
-	default:
-		col.asyncAdaptive = false
-		col.asyncCoalesce = coalesce
-		col.coalesceNanos.Store(int64(coalesce))
-	}
-}
-
-// setAsyncBounds normalizes and stores the adaptive window's bounds
-// (0 selects the defaults; min is clamped non-negative, max to at
-// least min). Caller holds col.mu or owns the unpublished collection.
-func (col *Collection) setAsyncBounds(min, max time.Duration) {
 	if min <= 0 {
 		min = defaultAsyncCoalesceMin
 	}
@@ -240,21 +212,18 @@ func (col *Collection) setAsyncBounds(min, max time.Duration) {
 		max = min
 	}
 	col.asyncCoalesceMin, col.asyncCoalesceMax = min, max
-	if col.asyncAdaptive {
-		// Re-seed inside the new bounds; the controller takes it from
-		// there.
-		col.coalesceNanos.Store(int64(min))
-	}
+	col.coalesceNanos.Store(int64(min))
 }
 
-// ConfigureAsync retunes the async-ingest machinery at runtime; a
-// running background flusher restarts under the new coalescing
-// window. Collection options are not persisted, so serving layers
-// call this at startup to give restored collections the configured
-// tuning.
-func (col *Collection) ConfigureAsync(maxPending int, coalesce time.Duration) {
+// ConfigureAsync retunes the async-ingest machinery at runtime: the
+// pending-queue bound and the coalescing window's [min, max] bounds
+// (0 selects the defaults, 250µs/8ms; equal bounds fix the window). A
+// running background flusher restarts under the new tuning.
+// Collection options are not persisted, so serving layers call this
+// at startup to give restored collections the configured tuning.
+func (col *Collection) ConfigureAsync(maxPending int, min, max time.Duration) {
 	col.mu.Lock()
-	col.setAsyncTuning(maxPending, coalesce)
+	col.setAsyncTuning(maxPending, min, max)
 	running := col.flusher != nil
 	col.mu.Unlock()
 	if running {
@@ -264,40 +233,20 @@ func (col *Collection) ConfigureAsync(maxPending int, coalesce time.Duration) {
 	}
 }
 
-// ConfigureAsyncBounds retunes the adaptive coalescing window's
-// [min, max] bounds (0 selects the defaults, 250µs/8ms). No effect
-// on a collection pinned to a fixed window until it is switched back
-// to adaptive via ConfigureAsync(_, 0).
-func (col *Collection) ConfigureAsyncBounds(min, max time.Duration) {
-	col.mu.Lock()
-	col.setAsyncBounds(min, max)
-	col.mu.Unlock()
-}
-
 // CoalesceWindow returns the group-commit window the background
-// flusher currently waits out: the controller's latest output under
-// the adaptive default, the pinned value under a fixed override, 0
-// when flushing immediately.
+// flusher currently waits out: the controller's latest output.
 func (col *Collection) CoalesceWindow() time.Duration {
 	return time.Duration(col.coalesceNanos.Load())
 }
 
-// CoalesceAdaptive reports whether the coalescing window is under
-// the adaptive controller (vs pinned or immediate).
-func (col *Collection) CoalesceAdaptive() bool {
-	col.mu.RLock()
-	defer col.mu.RUnlock()
-	return col.asyncAdaptive
-}
-
-// CoalesceMin returns the adaptive window floor.
+// CoalesceMin returns the coalescing window floor.
 func (col *Collection) CoalesceMin() time.Duration {
 	col.mu.RLock()
 	defer col.mu.RUnlock()
 	return col.asyncCoalesceMin
 }
 
-// CoalesceMax returns the adaptive window ceiling.
+// CoalesceMax returns the coalescing window ceiling.
 func (col *Collection) CoalesceMax() time.Duration {
 	col.mu.RLock()
 	defer col.mu.RUnlock()

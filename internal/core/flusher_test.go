@@ -65,11 +65,9 @@ func TestAdaptCoalesceWindowConvergence(t *testing.T) {
 	near(run(max, 0, 1<<20, 0), min, "depth ignored when unbounded")
 }
 
-// TestAdaptiveCoalesceWindowLive: a collection under the adaptive
-// default (AsyncCoalesce 0) keeps its effective window inside the
-// configured bounds while real ingest churns, and reports itself
-// adaptive; a fixed override pins the window and reports itself
-// pinned.
+// TestAdaptiveCoalesceWindowLive: a collection keeps its effective
+// window inside the configured bounds while real ingest churns; with
+// equal bounds the window stays fixed across flushes.
 func TestAdaptiveCoalesceWindowLive(t *testing.T) {
 	fx := newFixture(t, "")
 	for i := 0; i < 4; i++ {
@@ -81,9 +79,6 @@ func TestAdaptiveCoalesceWindowLive(t *testing.T) {
 		AsyncCoalesceMin: min,
 		AsyncCoalesceMax: max,
 	})
-	if !col.CoalesceAdaptive() {
-		t.Fatal("AsyncCoalesce 0 did not select the adaptive controller")
-	}
 	if got, want := col.CoalesceMin(), min; got != want {
 		t.Fatalf("CoalesceMin = %v, want %v", got, want)
 	}
@@ -96,37 +91,50 @@ func TestAdaptiveCoalesceWindowLive(t *testing.T) {
 			t.Fatalf("live window %v outside [%v, %v]", w, min, max)
 		}
 	}
-	check()
-	for round := 0; round < 6; round++ {
-		for _, doc := range fx.docs {
-			para := fx.paras(doc)[0]
-			if err := fx.store.SetText(fx.store.Children(para)[0],
-				fmt.Sprintf("hypertext burst %d on the web", round)); err != nil {
-				t.Fatal(err)
+	churn := func(label string) {
+		t.Helper()
+		for round := 0; round < 6; round++ {
+			for _, doc := range fx.docs {
+				para := fx.paras(doc)[0]
+				if err := fx.store.SetText(fx.store.Children(para)[0],
+					fmt.Sprintf("hypertext %s burst %d on the web", label, round)); err != nil {
+					t.Fatal(err)
+				}
+				check()
 			}
+			waitUntil(t, 5*time.Second, "flusher drained", func() bool {
+				return col.PendingOps() == 0
+			})
 			check()
 		}
-		waitUntil(t, 5*time.Second, "adaptive flusher drained", func() bool {
-			return col.PendingOps() == 0
-		})
-		check()
 	}
+	check()
+	churn("adaptive")
 	if got := col.Stats().AsyncFlushes.Load(); got == 0 {
 		t.Fatal("adaptive flusher never flushed")
 	}
 
-	// A fixed override pins the window and leaves adaptive mode.
-	col.ConfigureAsync(0, 3*time.Millisecond)
-	if col.CoalesceAdaptive() {
-		t.Fatal("fixed override still reports adaptive")
+	// Equal bounds: the controller's target is constant, so the
+	// window stays put across flushes.
+	min, max = 3*time.Millisecond, 3*time.Millisecond
+	col.ConfigureAsync(0, min, max)
+	if got := col.CoalesceWindow(); got != min {
+		t.Fatalf("fixed window = %v, want %v", got, min)
 	}
-	if got := col.CoalesceWindow(); got != 3*time.Millisecond {
-		t.Fatalf("pinned window = %v, want 3ms", got)
+	flushes := col.Stats().AsyncFlushes.Load()
+	churn("fixed")
+	if got := col.Stats().AsyncFlushes.Load(); got == flushes {
+		t.Fatal("flusher never flushed under the fixed window")
 	}
-	// And back: 0 re-enters the adaptive default at the floor.
-	col.ConfigureAsync(0, 0)
-	if !col.CoalesceAdaptive() {
-		t.Fatal("ConfigureAsync(_, 0) did not restore the adaptive controller")
+	if got := col.CoalesceWindow(); got != min {
+		t.Fatalf("fixed window drifted to %v, want %v", got, min)
+	}
+
+	// And back: distinct bounds re-seed the window at the floor.
+	min, max = 200*time.Microsecond, 2*time.Millisecond
+	col.ConfigureAsync(0, min, max)
+	if got := col.CoalesceWindow(); got != min {
+		t.Fatalf("re-seeded window = %v, want %v", got, min)
 	}
 	check()
 }

@@ -564,15 +564,15 @@ func TestRunS7Shape(t *testing.T) {
 		t.Errorf("rankings diverge: cache same=%v coalesce same=%v",
 			res.CacheRankingsSame, res.CoalesceRankingsSame)
 	}
-	if res.ScoredRatio > 0.8 {
-		t.Errorf("2q scored %.1f%% of lru's candidates, want <= 80%%", 100*res.ScoredRatio)
+	if res.ScoredRatio > 0.25 {
+		t.Errorf("2q scored %.1f%% of the uncached server's candidates, want <= 25%%", 100*res.ScoredRatio)
 	}
 	// 2q may trade raw hit rate for scored reduction (it prefers
-	// keeping expensive entries), so only sanity-check the rates.
-	if res.HitRateLRU <= 0 || res.HitRate2Q <= 0 || res.HitRateLRU >= 1 || res.HitRate2Q >= 1 {
-		t.Errorf("hit rates out of range: lru=%.3f 2q=%.3f", res.HitRateLRU, res.HitRate2Q)
+	// keeping expensive entries), so only sanity-check the rate.
+	if res.HitRate2Q <= 0 || res.HitRate2Q >= 1 {
+		t.Errorf("hit rate out of range: 2q=%.3f", res.HitRate2Q)
 	}
-	if res.ScoredLRU <= 0 || res.Scored2Q <= 0 {
+	if res.ScoredNoCache <= 0 || res.Scored2Q <= 0 {
 		t.Errorf("scored counters empty: %+v", res)
 	}
 	if res.FixedElapsed <= 0 || res.AdaptiveElapsed <= 0 {

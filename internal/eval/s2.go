@@ -112,7 +112,7 @@ func RunS2(w io.Writer) (*S2Result, error) {
 	}
 	configs := []config{
 		{"sync-immediate", core.Options{Policy: core.PropagateImmediately}},
-		{"async-pipeline", core.Options{Policy: core.PropagateAsync, AsyncCoalesce: time.Millisecond}},
+		{"async-pipeline", core.Options{Policy: core.PropagateAsync, AsyncCoalesceMin: time.Millisecond, AsyncCoalesceMax: time.Millisecond}},
 	}
 	type outcome struct {
 		col     *core.Collection

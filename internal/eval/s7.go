@@ -20,40 +20,43 @@ import (
 )
 
 // EXP-S7 — adaptive serving: the cost-aware 2Q query cache and the
-// load-adaptive ingest coalescing window, A/B'd against their fixed
+// load-adaptive ingest coalescing window, A/B'd against their
 // baselines at the HTTP layer (the whole serving stack in the loop,
 // like production traffic would see it).
 //
 // Part 1 (cache): the same zipfian query stream is replayed against
-// two servers that differ only in cache policy at an equal, small
-// entry budget. The skewed head re-references a few queries
-// constantly while the long tail arrives as one-shot scans — exactly
-// the mix a recency LRU handles worst (every tail query evicts a hot
-// entry it will never earn back). The 2Q policy's probationary queue
-// absorbs the tail and its frequency × rebuild-cost eviction keeps
-// the head resident, so it must answer the stream with at least 20%
-// fewer candidates scored (TopKStats deltas over /stats) than the
-// LRU — and, being a cache, with bit-identical rankings.
+// two servers that differ only in caching: one without a cache, one
+// with the 2Q cache at a small entry budget. The skewed head
+// re-references a few queries constantly while the long tail arrives
+// as one-shot scans — the mix a recency LRU handles worst (every tail
+// query evicts a hot entry it will never earn back). The 2Q
+// probationary queue absorbs the tail and its frequency ×
+// rebuild-cost eviction keeps the head resident, so it must answer
+// the stream with at most a quarter of the uncached server's
+// candidates scored (TopKStats deltas over /stats) — and, being a
+// cache, with bit-identical rankings. (A recency LRU of the same
+// budget scored 0.316 of the uncached count on this stream; the gate
+// sits below it.)
 //
 // Part 2 (coalescing): the same bursty async-ingest workload runs
-// against a fixed 2ms group-commit window and against the adaptive
-// controller (AsyncCoalesce 0). The controller widens toward max
-// during bursts (bigger group commits, less per-commit overhead) and
-// narrows when idle. Ingest-to-drain throughput and the p99 of reads
+// against a fixed 2ms group-commit window (AsyncCoalesceMin ==
+// AsyncCoalesceMax) and against the adaptive controller inside the
+// default bounds. The controller widens toward max during bursts
+// (bigger group commits, less per-commit overhead) and narrows when
+// idle. Ingest-to-drain throughput and the p99 of reads
 // probed during ingest are reported for both (wall clock, not gated);
 // the drained index must serve bit-identical rankings in both modes —
 // group commits may batch updates, never lose or reorder them.
 
 // S7Result is the outcome of EXP-S7.
 type S7Result struct {
-	// Cache A/B (equal entry budget, identical zipfian stream).
+	// Cache A/B (no cache vs 2Q, identical zipfian stream).
 	CacheBudget       int
 	QueryPool         int
 	Requests          int
-	ScoredLRU         int64
+	ScoredNoCache     int64
 	Scored2Q          int64
-	ScoredRatio       float64 // Scored2Q / ScoredLRU; gate <= 0.8
-	HitRateLRU        float64
+	ScoredRatio       float64 // Scored2Q / ScoredNoCache; gate <= s7ScoredGate
 	HitRate2Q         float64
 	EvictedCost2Q     float64 // measured rebuild seconds discarded by the 2Q main segment
 	CacheRankingsSame bool
@@ -68,9 +71,9 @@ type S7Result struct {
 }
 
 const (
-	s7CacheBudget = 32   // cache entries per policy — far below the pool
+	s7CacheBudget = 32   // cache entries — far below the pool
 	s7QueryPool   = 1024 // distinct queries the zipfian stream draws from
-	s7Requests    = 8000 // stream length per policy
+	s7Requests    = 8000 // stream length per server
 	s7ZipfS       = 1.3  // skew: a hot head plus a heavy one-shot tail
 	s7K           = 10
 
@@ -82,7 +85,7 @@ const (
 	// The scored gate is deterministic (counter deltas). Ingest
 	// throughput and read p99 of the coalescing A/B are wall clock:
 	// reported, not gated.
-	s7ScoredGate = 0.8
+	s7ScoredGate = 0.25
 )
 
 // s7System is one server under test with its HTTP frontend.
@@ -206,12 +209,21 @@ func s7QueryPoolGen(vocab int) []string {
 	return pool
 }
 
+// s7HitRate is the cache's hit share of its lookups.
+func s7HitRate(cm server.CacheMetrics) float64 {
+	hits := cm.HitsMain + cm.HitsProbation
+	if total := hits + cm.MissesCold; total > 0 {
+		return float64(hits) / float64(total)
+	}
+	return 0
+}
+
 // s7CachePhase replays one pre-drawn zipfian request stream against a
-// fresh server with the given cache policy and returns the
-// candidates-scored delta plus the comparison responses (one per pool
-// query, issued in pool order after the stream).
-func s7CachePhase(corpus *workload.Corpus, policy string, pool []string, stream []int) (scored int64, hitRate float64, evictedCost float64, compare []any, err error) {
-	s, err := s7Open(server.Config{CacheSize: s7CacheBudget, CachePolicy: policy})
+// fresh server with the given cache size (negative: no cache) and
+// returns the candidates-scored delta plus the comparison responses
+// (one per pool query, issued in pool order after the stream).
+func s7CachePhase(corpus *workload.Corpus, cacheSize int, pool []string, stream []int) (scored int64, hitRate float64, evictedCost float64, compare []any, err error) {
+	s, err := s7Open(server.Config{CacheSize: cacheSize})
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
@@ -233,10 +245,7 @@ func s7CachePhase(corpus *workload.Corpus, policy string, pool []string, stream 
 		return 0, 0, 0, nil, err
 	}
 	cm := s.srv.CacheMetrics()
-	hits := cm.HitsMain + cm.HitsProbation
-	if total := hits + cm.MissesCold + cm.MissesExpired; total > 0 {
-		hitRate = float64(hits) / float64(total)
-	}
+	hitRate = s7HitRate(cm)
 	// Comparison pass in pool order: identical request histories mean
 	// identical OID allocation, so rankings must match bit for bit.
 	for _, q := range pool {
@@ -362,12 +371,12 @@ func RunS7(w io.Writer) (*S7Result, error) {
 		Requests:    s7Requests,
 	}
 
-	// --- Part 1: cache policy A/B under zipfian skew ---------------
+	// --- Part 1: no cache vs 2Q under zipfian skew -----------------
 	cfg := workload.DefaultConfig()
 	cfg.Docs = 60
 	corpus := workload.Generate(cfg)
 	pool := s7QueryPoolGen(cfg.Vocabulary)
-	// One pre-drawn stream, replayed verbatim against both policies.
+	// One pre-drawn stream, replayed verbatim against both servers.
 	rng := rand.New(rand.NewSource(97))
 	zipf := rand.NewZipf(rng, s7ZipfS, 1.0, uint64(len(pool)-1))
 	stream := make([]int, s7Requests)
@@ -375,21 +384,21 @@ func RunS7(w io.Writer) (*S7Result, error) {
 		stream[i] = int(zipf.Uint64())
 	}
 
-	scoredLRU, hitLRU, _, cmpLRU, err := s7CachePhase(corpus, server.CachePolicyLRU, pool, stream)
+	scoredNone, _, _, cmpNone, err := s7CachePhase(corpus, -1, pool, stream)
 	if err != nil {
 		return nil, err
 	}
-	scored2Q, hit2Q, evicted2Q, cmp2Q, err := s7CachePhase(corpus, server.CachePolicy2Q, pool, stream)
+	scored2Q, hit2Q, evicted2Q, cmp2Q, err := s7CachePhase(corpus, s7CacheBudget, pool, stream)
 	if err != nil {
 		return nil, err
 	}
-	res.ScoredLRU, res.Scored2Q = scoredLRU, scored2Q
-	res.HitRateLRU, res.HitRate2Q = hitLRU, hit2Q
+	res.ScoredNoCache, res.Scored2Q = scoredNone, scored2Q
+	res.HitRate2Q = hit2Q
 	res.EvictedCost2Q = evicted2Q
-	if scoredLRU > 0 {
-		res.ScoredRatio = float64(scored2Q) / float64(scoredLRU)
+	if scoredNone > 0 {
+		res.ScoredRatio = float64(scored2Q) / float64(scoredNone)
 	}
-	res.CacheRankingsSame = s7Same(cmpLRU, cmp2Q)
+	res.CacheRankingsSame = s7Same(cmpNone, cmp2Q)
 
 	// --- Part 2: fixed vs adaptive coalescing under bursty ingest --
 	icfg := workload.DefaultConfig()
@@ -401,8 +410,8 @@ func RunS7(w io.Writer) (*S7Result, error) {
 	probeQ := "#sum(www nii highway)"
 	compareQs := []string{"www", "nii", "sgml markup", "#and(www video)"}
 
-	fixedCfg := server.Config{AsyncCoalesce: 2 * time.Millisecond}
-	adaptCfg := server.Config{} // AsyncCoalesce 0: adaptive inside the defaults
+	fixedCfg := server.Config{AsyncCoalesceMin: 2 * time.Millisecond, AsyncCoalesceMax: 2 * time.Millisecond}
+	adaptCfg := server.Config{} // adaptive inside the default bounds
 	var cmpFixed, cmpAdapt []any
 	if res.FixedElapsed, res.ReadP99Fixed, cmpFixed, err = s7IngestPhase(fixedCfg, ingestCorpus, probeQ, compareQs); err != nil {
 		return nil, err
@@ -420,23 +429,23 @@ func RunS7(w io.Writer) (*S7Result, error) {
 			s7CacheBudget, s7QueryPool, s7Requests, s7ZipfS, res.IngestDocs, s7Bursts),
 		Header: []string{"variant", "scored", "hit rate", "ingest", "read p99"},
 	}
-	tab.AddRow("lru / fixed 2ms",
-		fmt.Sprintf("%d", res.ScoredLRU), fmt.Sprintf("%.1f%%", 100*res.HitRateLRU),
+	tab.AddRow("no cache / fixed 2ms",
+		fmt.Sprintf("%d", res.ScoredNoCache), "-",
 		fms(float64(res.FixedElapsed.Microseconds())/1000), fms(float64(res.ReadP99Fixed.Microseconds())/1000))
 	tab.AddRow("2q / adaptive",
 		fmt.Sprintf("%d", res.Scored2Q), fmt.Sprintf("%.1f%%", 100*res.HitRate2Q),
 		fms(float64(res.AdaptiveElapsed.Microseconds())/1000), fms(float64(res.ReadP99Adaptive.Microseconds())/1000))
 	tab.Fprint(w)
-	fmt.Fprintf(w, "cache: 2q scored %.1f%% of lru's candidates (gate <= %.0f%%), evicted-cost %.4fs, rankings identical: %v\n",
+	fmt.Fprintf(w, "cache: 2q scored %.1f%% of the uncached server's candidates (gate <= %.0f%%), evicted-cost %.4fs, rankings identical: %v\n",
 		100*res.ScoredRatio, 100*s7ScoredGate, res.EvictedCost2Q, res.CacheRankingsSame)
 	fmt.Fprintf(w, "coalesce: adaptive/fixed throughput %.2fx, rankings identical: %v\n\n",
 		res.ThroughputRatio, res.CoalesceRankingsSame)
 
 	if !res.CacheRankingsSame {
-		return res, fmt.Errorf("EXP-S7 cache gate tripped: rankings differ between cache policies")
+		return res, fmt.Errorf("EXP-S7 cache gate tripped: cached rankings differ from uncached ones")
 	}
 	if res.ScoredRatio > s7ScoredGate {
-		return res, fmt.Errorf("EXP-S7 cache gate tripped: 2q scored %.1f%% of lru's candidates (gate: <= %.0f%%)",
+		return res, fmt.Errorf("EXP-S7 cache gate tripped: 2q scored %.1f%% of the uncached server's candidates (gate: <= %.0f%%)",
 			100*res.ScoredRatio, 100*s7ScoredGate)
 	}
 	if !res.CoalesceRankingsSame {

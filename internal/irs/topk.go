@@ -628,12 +628,14 @@ func (sc *shardScan) finish() {
 // raising the shared threshold to the best k-th score seen anywhere.
 //
 // Phase 2 visits the bounded remainders in descending
-// best-remaining-bound order — hottest shard first, so its raises
-// land before colder shards commit to work. A shard whose best
-// remaining bound is already below the warmed threshold is skipped
-// wholesale (counted in ShardsSkipped when the shared threshold alone
-// justified it); the rest finish concurrently, each re-checking the
-// shared threshold per candidate.
+// best-remaining-bound order. The hottest shard finishes inline
+// before any other starts, so its raises have landed when colder
+// shards commit to work — which shards get skipped then depends on
+// the data, not on goroutine timing. A shard whose best remaining
+// bound is already below the warmed threshold is skipped wholesale
+// (counted in ShardsSkipped when the shared threshold alone justified
+// it); the rest finish concurrently, each re-checking the shared
+// threshold per candidate.
 //
 // Sharing is disabled (nil threshold) for single-shard snapshots and
 // when SetTopKThresholdSharing(false) selects the per-shard-only
@@ -671,6 +673,12 @@ func runTopK(s *Snapshot, k int, prep func(si int) shardTask, ext func(DocID) st
 			}
 			return order[i] < order[j]
 		})
+		if len(order) > 0 {
+			if sc := scans[order[0]]; !sc.skipAll() {
+				sc.finish()
+			}
+			order = order[1:]
+		}
 		inline := runtime.GOMAXPROCS(0) == 1
 		var wg sync.WaitGroup
 		for _, si := range order {

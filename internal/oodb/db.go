@@ -507,5 +507,3 @@ func (db *DB) checkAttrKind(class, attr string, v Value) error {
 	}
 	return nil
 }
-
-func sortStrings(s []string) { sort.Strings(s) }

@@ -2,6 +2,7 @@ package oodb
 
 import (
 	"fmt"
+	"sort"
 )
 
 // Tx is a transaction: mutations are staged locally (with
@@ -57,7 +58,7 @@ func sortedValueAttrs(m map[string]Value) []string {
 	for n := range m {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	return names
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sort"
 )
 
 // Write-ahead log. Because commits are serialized, each committed
@@ -75,7 +76,7 @@ func sortedAttrNames(m map[string]Kind) []string {
 	for n := range m {
 		names = append(names, n)
 	}
-	sortStrings(names)
+	sort.Strings(names)
 	return names
 }
 

@@ -25,7 +25,7 @@ func asyncSeed(t testing.TB, ts *httptest.Server) {
 func TestAsyncIngestAndDrain(t *testing.T) {
 	// A far-away coalescing window keeps the background flusher out
 	// of the picture, so the test controls visibility explicitly.
-	_, ts := fixture(t, Config{AsyncCoalesce: time.Hour})
+	_, ts := fixture(t, Config{AsyncCoalesceMin: time.Hour, AsyncCoalesceMax: time.Hour})
 	asyncSeed(t, ts)
 
 	status, out := call(t, "POST", ts.URL+"/documents", map[string]any{
@@ -58,7 +58,7 @@ func TestAsyncIngestAndDrain(t *testing.T) {
 // ingest with 503 + Retry-After; a drain opens it up again. Sync-mode
 // ingest is never shed (it makes no visibility promise).
 func TestAsyncIngestBackpressure(t *testing.T) {
-	srv, ts := fixture(t, Config{AsyncCoalesce: time.Hour, AsyncMaxPending: 1})
+	srv, ts := fixture(t, Config{AsyncCoalesceMin: time.Hour, AsyncCoalesceMax: time.Hour, AsyncMaxPending: 1})
 	asyncSeed(t, ts)
 
 	status, out := call(t, "POST", ts.URL+"/documents", map[string]any{
@@ -107,7 +107,7 @@ func TestIngestModeValidation(t *testing.T) {
 // TestStatsPipelineMetrics: /stats exposes the ingest-pipeline
 // telemetry per collection.
 func TestStatsPipelineMetrics(t *testing.T) {
-	_, ts := fixture(t, Config{AsyncCoalesce: time.Millisecond})
+	_, ts := fixture(t, Config{AsyncCoalesceMin: time.Millisecond, AsyncCoalesceMax: time.Millisecond})
 	asyncSeed(t, ts)
 	mustOK(t, "POST", ts.URL+"/documents", map[string]any{
 		"dtd": "mmf", "mode": "async", "documents": []string{testDoc(1, "metrics")},
@@ -155,49 +155,6 @@ func TestStatsPipelineMetrics(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
-	}
-}
-
-// TestCacheTTL: entries expire after the configured TTL (unit level —
-// the endpoint path is covered by the epoch tests).
-func TestCacheTTL(t *testing.T) {
-	c := newQueryCache(8, 40*time.Millisecond)
-	k := cacheKey{kind: "search", coll: "c", query: "q"}
-	c.put(k, 1, 1)
-	if v, ok := c.get(k); !ok || v != 1 {
-		t.Fatalf("fresh entry missing: %v %v", v, ok)
-	}
-	time.Sleep(80 * time.Millisecond)
-	if _, ok := c.get(k); ok {
-		t.Fatal("expired entry served")
-	}
-	if c.len() != 0 {
-		t.Fatalf("expired entry retained: len=%d", c.len())
-	}
-	// TTL 0 never expires.
-	c2 := newQueryCache(8, 0)
-	c2.put(k, 2, 1)
-	time.Sleep(10 * time.Millisecond)
-	if _, ok := c2.get(k); !ok {
-		t.Fatal("no-TTL entry expired")
-	}
-}
-
-// TestSearchCacheTTLEndToEnd: with a tiny TTL the search cache stops
-// serving an entry even though the epoch stands still.
-func TestSearchCacheTTLEndToEnd(t *testing.T) {
-	_, ts := fixture(t, Config{CacheTTL: 30 * time.Millisecond})
-	seed(t, ts, 2)
-	url := ts.URL + "/collections/collPara/search?q=www"
-	mustOK(t, "GET", url, nil)
-	out := mustOK(t, "GET", url, nil)
-	if out["cached"] != true {
-		t.Fatalf("second search not cached: %v", out)
-	}
-	time.Sleep(80 * time.Millisecond)
-	out = mustOK(t, "GET", url, nil)
-	if out["cached"] != false {
-		t.Fatalf("search served from cache past its TTL: %v", out)
 	}
 }
 

@@ -1,9 +1,9 @@
 package server
 
 import (
+	"container/heap"
 	"container/list"
 	"sync"
-	"time"
 )
 
 // cacheKey identifies one cached evaluation result. The epoch
@@ -13,7 +13,7 @@ import (
 // (see core.Coupling.Epoch / core.Collection.Epoch). A mutation
 // therefore never requires walking the cache — entries cached under
 // the old epoch become unreachable and age out under eviction
-// pressure or TTL.
+// pressure, and CacheSize bounds the memory they hold meanwhile.
 //
 // kbucket is the top-k component for searches: requests with a limit
 // evaluate (and cache) the full k-bucket the limit rounds up to, so
@@ -56,221 +56,259 @@ const (
 	maxKBucket = 1 << 16
 )
 
-// queryCacher is the policy-independent contract of the query cache.
-// Both implementations (recency LRU, cost-aware 2Q) share it so the
-// serving layer can swap policies at runtime (Server.SetCachePolicy)
-// for A/B comparison without touching the handlers. put carries the
-// measured rebuild cost of the entry (seconds × candidates scored,
-// captured from the miss-path trace); the LRU ignores it beyond
-// accounting.
-type queryCacher interface {
-	get(k cacheKey) (any, bool)
-	put(k cacheKey, v any, cost float64)
-	len() int
-	purge()
-	metrics() CacheMetrics
-}
-
-// CacheMetrics is a point-in-time snapshot of one cache's internal
-// accounting, published by /stats, /metrics and Server.CacheMetrics.
-// Hits and misses are split by reason: a probation hit is a 2Q entry
-// proving reuse before promotion (always 0 for the LRU, which has a
-// single segment), an expired miss found the key but past its TTL.
+// CacheMetrics is a point-in-time snapshot of the query cache's
+// internal accounting, published by /stats, /metrics and
+// Server.CacheMetrics. Hits are split by segment: a probation hit is
+// an entry proving reuse before promotion to the main segment.
 type CacheMetrics struct {
-	Policy        string `json:"policy"`
-	Entries       int    `json:"entries"`
-	Capacity      int    `json:"capacity"`
-	HitsMain      int64  `json:"hits_main"`
-	HitsProbation int64  `json:"hits_probation"`
-	MissesCold    int64  `json:"misses_cold"`
-	MissesExpired int64  `json:"misses_expired"`
+	Entries       int   `json:"entries"`
+	Capacity      int   `json:"capacity"`
+	HitsMain      int64 `json:"hits_main"`
+	HitsProbation int64 `json:"hits_probation"`
+	MissesCold    int64 `json:"misses_cold"`
 	// Promotions counts probation→main promotions, GhostReadmits
 	// re-admissions of recently evicted keys straight into the main
 	// segment, AdmissionRejects probationary entries dropped without
 	// ever being re-referenced (the one-shot scans 2Q exists to keep
-	// out of the main segment). All three are 0 for the LRU.
+	// out of the main segment).
 	Promotions       int64   `json:"promotions"`
 	GhostReadmits    int64   `json:"ghost_readmits"`
 	AdmissionRejects int64   `json:"admission_rejections"`
 	Evictions        int64   `json:"evictions"`
 	EvictedCost      float64 `json:"evicted_cost"`
-	SweptExpired     int64   `json:"swept_expired"`
 }
 
-// cacheCounters is the mutable accounting shared by both cache
-// implementations; all fields are guarded by the owning cache's mu.
-type cacheCounters struct {
-	hitsMain, hitsProbation     int64
-	missesCold, missesExpired   int64
-	promotions, ghostReadmits   int64
-	admissionRejects, evictions int64
-	evictedCost                 float64
-	sweptExpired                int64
+// costCache is the cost-aware 2Q cache: admission through a
+// probationary FIFO, a ghost list of recently evicted keys, and a
+// main segment ranked by frequency-and-cost-weighted value (GDSF)
+// instead of pure recency.
+//
+// The structure answers the two ways a plain recency LRU loses at
+// serving scale. One-shot scans — crawler traffic, epoch churn
+// minting a new key per mutation — enter the probationary FIFO and
+// leave through its tail without ever touching the main segment, so
+// they cannot flush the hot set. And among hot entries, eviction prefers to keep
+// what is expensive to rebuild: each entry carries the measured cost
+// of its miss-path evaluation (stage latency × candidates scored,
+// from the request trace), and the victim is always the lowest
+// priority = inflation + freq × cost. The inflation term is GDSF
+// aging: it rises to each victim's priority, so entries that stopped
+// being referenced eventually fall below fresh admissions no matter
+// how expensive they once were.
+//
+// A key re-referenced shortly after leaving probation (or main) is
+// remembered by the ghost list — key only, no value — and readmitted
+// directly into the main segment: that second reference within the
+// ghost horizon is 2Q's evidence of genuine reuse.
+type costCache struct {
+	mu  sync.Mutex
+	cap int // total value-carrying entries (probation + main); 0 disables
+
+	probCap  int // probationary FIFO budget (~cap/4)
+	mainCap  int // main segment budget (cap - probCap)
+	ghostCap int // remembered evicted keys (~cap, ARC-style), values long gone
+
+	prob     *list.List // FIFO of *costEntry; front = newest
+	probIdx  map[cacheKey]*list.Element
+	ghost    *list.List // FIFO of cacheKey; front = newest
+	ghostIdx map[cacheKey]*list.Element
+	main     costHeap // min-heap on prio: root = next victim
+	mainIdx  map[cacheKey]*costEntry
+
+	// inflation is the GDSF aging floor: the priority of the last
+	// main-segment victim. New and re-scored priorities build on it,
+	// so long-unreferenced entries age out relative to fresh traffic.
+	inflation float64
+
+	// Counters published through metrics.
+	hitsMain, hitsProbation, missesCold int64
+	promotions, ghostReadmits           int64
+	admissionRejects, evictions         int64
+	evictedCost                         float64
 }
 
-func (m *cacheCounters) snapshot(policy string, entries, capacity int) CacheMetrics {
+type costEntry struct {
+	key  cacheKey
+	val  any
+	cost float64
+	freq int64
+	prio float64 // inflation + freq × cost, frozen at last touch
+	idx  int     // heap index in main; -1 while in probation
+}
+
+// costHeap is a min-heap of main-segment entries by priority.
+type costHeap []*costEntry
+
+func (h costHeap) Len() int           { return len(h) }
+func (h costHeap) Less(i, j int) bool { return h[i].prio < h[j].prio }
+func (h costHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].idx = i; h[j].idx = j }
+func (h *costHeap) Push(x any)        { e := x.(*costEntry); e.idx = len(*h); *h = append(*h, e) }
+func (h *costHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	e.idx = -1
+	*h = old[:n-1]
+	return e
+}
+
+func newCostCache(capacity int) *costCache {
+	probCap := capacity / 4
+	if probCap < 1 {
+		probCap = 1
+	}
+	mainCap := capacity - probCap
+	if mainCap < 1 {
+		mainCap = 1
+	}
+	// Ghost keys are ~100 bytes each (no result values), so one full
+	// extra capacity of history — the ARC sizing — costs next to
+	// nothing. Longer horizons measure worse on zipfian streams: they
+	// readmit tail queries straight into the main segment on their
+	// second-ever reference, churning out genuinely hot entries.
+	ghostCap := capacity
+	if ghostCap < 2 {
+		ghostCap = 2
+	}
+	return &costCache{
+		cap:     capacity,
+		probCap: probCap, mainCap: mainCap, ghostCap: ghostCap,
+		prob: list.New(), probIdx: make(map[cacheKey]*list.Element),
+		ghost: list.New(), ghostIdx: make(map[cacheKey]*list.Element),
+		mainIdx: make(map[cacheKey]*costEntry),
+	}
+}
+
+func (c *costCache) get(k cacheKey) (any, bool) {
+	if c.cap <= 0 {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.mainIdx[k]; ok {
+		e.freq++
+		e.prio = c.inflation + float64(e.freq)*e.cost
+		heap.Fix(&c.main, e.idx)
+		c.hitsMain++
+		return e.val, true
+	}
+	if el, ok := c.probIdx[k]; ok {
+		e := el.Value.(*costEntry)
+		// First re-reference: the entry earned its way out of
+		// probation into the cost-ranked main segment.
+		c.removeProb(el)
+		e.freq++
+		c.admitMain(e)
+		c.promotions++
+		c.hitsProbation++
+		return e.val, true
+	}
+	c.missesCold++
+	return nil, false
+}
+
+func (c *costCache) put(k cacheKey, v any, cost float64) {
+	if c.cap <= 0 {
+		return
+	}
+	if cost <= 0 {
+		cost = 1e-9 // degrade to frequency-only ranking, never 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.mainIdx[k]; ok {
+		e.val, e.cost = v, cost
+		e.prio = c.inflation + float64(e.freq)*e.cost
+		heap.Fix(&c.main, e.idx)
+		return
+	}
+	if el, ok := c.probIdx[k]; ok {
+		e := el.Value.(*costEntry)
+		e.val, e.cost = v, cost
+		return
+	}
+	e := &costEntry{key: k, val: v, cost: cost, freq: 1, idx: -1}
+	if gel, ok := c.ghostIdx[k]; ok {
+		// Second reference within the ghost horizon: skip probation,
+		// this key has proven reuse.
+		c.ghost.Remove(gel)
+		delete(c.ghostIdx, k)
+		e.freq = 2
+		c.admitMain(e)
+		c.ghostReadmits++
+		return
+	}
+	c.probIdx[k] = c.prob.PushFront(e)
+	for c.prob.Len() > c.probCap {
+		tail := c.prob.Back()
+		dead := tail.Value.(*costEntry)
+		c.removeProb(tail)
+		// Never re-referenced while on probation: the value is
+		// dropped (admission to the main segment rejected) and only
+		// the key is remembered in the ghost list.
+		c.remember(dead.key)
+		c.admissionRejects++
+		c.evictedCost += dead.cost
+	}
+}
+
+// admitMain inserts e into the main segment, evicting the lowest
+// priority entries while over budget and raising the aging floor to
+// each victim's priority. Caller holds c.mu.
+func (c *costCache) admitMain(e *costEntry) {
+	e.prio = c.inflation + float64(e.freq)*e.cost
+	heap.Push(&c.main, e)
+	c.mainIdx[e.key] = e
+	for len(c.main) > c.mainCap {
+		victim := heap.Pop(&c.main).(*costEntry)
+		delete(c.mainIdx, victim.key)
+		c.inflation = victim.prio
+		c.remember(victim.key)
+		c.evictions++
+		c.evictedCost += victim.cost
+	}
+}
+
+// remember pushes a key onto the ghost list, trimming to ghostCap.
+func (c *costCache) remember(k cacheKey) {
+	if _, ok := c.ghostIdx[k]; ok {
+		return
+	}
+	c.ghostIdx[k] = c.ghost.PushFront(k)
+	for c.ghost.Len() > c.ghostCap {
+		tail := c.ghost.Back()
+		delete(c.ghostIdx, tail.Value.(cacheKey))
+		c.ghost.Remove(tail)
+	}
+}
+
+func (c *costCache) removeProb(el *list.Element) {
+	c.prob.Remove(el)
+	delete(c.probIdx, el.Value.(*costEntry).key)
+}
+
+func (c *costCache) purge() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.prob.Init()
+	c.probIdx = make(map[cacheKey]*list.Element)
+	c.ghost.Init()
+	c.ghostIdx = make(map[cacheKey]*list.Element)
+	c.main = nil
+	c.mainIdx = make(map[cacheKey]*costEntry)
+	c.inflation = 0
+}
+
+func (c *costCache) metrics() CacheMetrics {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return CacheMetrics{
-		Policy: policy, Entries: entries, Capacity: capacity,
-		HitsMain: m.hitsMain, HitsProbation: m.hitsProbation,
-		MissesCold: m.missesCold, MissesExpired: m.missesExpired,
-		Promotions: m.promotions, GhostReadmits: m.ghostReadmits,
-		AdmissionRejects: m.admissionRejects, Evictions: m.evictions,
-		EvictedCost: m.evictedCost, SweptExpired: m.sweptExpired,
+		Entries: c.prob.Len() + len(c.main), Capacity: c.cap,
+		HitsMain: c.hitsMain, HitsProbation: c.hitsProbation,
+		MissesCold: c.missesCold,
+		Promotions: c.promotions, GhostReadmits: c.ghostReadmits,
+		AdmissionRejects: c.admissionRejects, Evictions: c.evictions,
+		EvictedCost: c.evictedCost,
 	}
-}
-
-// sweepBudget bounds how many resident entries one put examines for
-// TTL expiry. The sweep walks a persistent cursor, so a full pass
-// over a cache of C entries completes every C/sweepBudget puts —
-// cold expired entries are reclaimed by ongoing write traffic alone,
-// without ever being read again.
-const sweepBudget = 8
-
-// queryCache is an LRU over cacheKey with an optional TTL. A capacity
-// of 0 disables it (every get misses, every put is dropped); a TTL of
-// 0 never expires (epochs already invalidate on mutation — the TTL
-// exists to bound staleness of results whose epoch component is
-// expensive to advance, and to cap memory held by long-idle entries).
-type queryCache struct {
-	mu    sync.Mutex
-	cap   int
-	ttl   time.Duration
-	now   func() time.Time
-	ll    *list.List // front = most recently used
-	items map[cacheKey]*list.Element
-	sweep *list.Element // TTL-sweep cursor; nil restarts from the back
-	m     cacheCounters
-}
-
-type cacheEntry struct {
-	key     cacheKey
-	val     any
-	cost    float64
-	expires time.Time // zero: never
-}
-
-func newQueryCache(capacity int, ttl time.Duration) *queryCache {
-	return &queryCache{
-		cap:   capacity,
-		ttl:   ttl,
-		now:   time.Now,
-		ll:    list.New(),
-		items: make(map[cacheKey]*list.Element),
-	}
-}
-
-// get returns the cached value for k, marking it most recently used.
-// Expired entries are evicted on access.
-func (c *queryCache) get(k cacheKey) (any, bool) {
-	if c.cap <= 0 {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		c.m.missesCold++
-		return nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	if !e.expires.IsZero() && c.now().After(e.expires) {
-		c.remove(el)
-		c.m.missesExpired++
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.m.hitsMain++
-	return e.val, true
-}
-
-// put stores v under k, evicting the least recently used entry when
-// over capacity. cost is recorded so evicted-cost accounting stays
-// comparable with the cost-aware policy; it does not influence LRU
-// eviction order.
-func (c *queryCache) put(k cacheKey, v any, cost float64) {
-	if c.cap <= 0 {
-		return
-	}
-	var expires time.Time
-	if c.ttl > 0 {
-		expires = c.now().Add(c.ttl)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	defer c.sweepExpired()
-	if el, ok := c.items[k]; ok {
-		c.ll.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		e.val = v
-		e.cost = cost
-		e.expires = expires
-		return
-	}
-	c.items[k] = c.ll.PushFront(&cacheEntry{key: k, val: v, cost: cost, expires: expires})
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		e := oldest.Value.(*cacheEntry)
-		c.remove(oldest)
-		c.m.evictions++
-		c.m.evictedCost += e.cost
-	}
-}
-
-// remove unlinks el, stepping the sweep cursor off it first so the
-// cursor never dangles into a removed element.
-func (c *queryCache) remove(el *list.Element) {
-	if c.sweep == el {
-		c.sweep = el.Prev()
-	}
-	c.ll.Remove(el)
-	delete(c.items, el.Value.(*cacheEntry).key)
-}
-
-// sweepExpired advances the TTL cursor up to sweepBudget entries from
-// the LRU tail toward the front, reclaiming expired entries it
-// passes. Piggybacked on every put: an idle burst's memory is
-// released by later write traffic even when the expired keys are
-// never requested again (they used to be evicted only on access,
-// pinning their result slices until capacity pressure reached them).
-// Caller holds c.mu.
-func (c *queryCache) sweepExpired() {
-	if c.ttl <= 0 {
-		return
-	}
-	now := c.now()
-	el := c.sweep
-	if el == nil {
-		el = c.ll.Back()
-	}
-	for i := 0; i < sweepBudget && el != nil; i++ {
-		prev := el.Prev()
-		if e := el.Value.(*cacheEntry); !e.expires.IsZero() && now.After(e.expires) {
-			c.remove(el)
-			c.m.sweptExpired++
-		}
-		el = prev
-	}
-	c.sweep = el // nil at the front: next sweep restarts from the back
-}
-
-// len returns the number of live entries.
-func (c *queryCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// purge empties the cache.
-func (c *queryCache) purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[cacheKey]*list.Element)
-	c.sweep = nil
-}
-
-func (c *queryCache) metrics() CacheMetrics {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m.snapshot(CachePolicyLRU, c.ll.Len(), c.cap)
 }

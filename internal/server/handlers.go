@@ -212,12 +212,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				"queue_depth":    pending,
 				"queue_capacity": col.AsyncMaxPending(),
 				// The group-commit window the background flusher is
-				// currently waiting out. Under the adaptive controller
-				// it moves inside [coalesce_min_ms, coalesce_max_ms]
-				// with arrival rate and queue depth; a fixed
-				// -async-coalesce override pins it.
+				// currently waiting out. It moves inside
+				// [coalesce_min_ms, coalesce_max_ms] with arrival rate
+				// and queue depth; equal bounds fix it.
 				"coalesce_window_ms": float64(col.CoalesceWindow()) / 1e6,
-				"coalesce_adaptive":  col.CoalesceAdaptive(),
 				"coalesce_min_ms":    float64(col.CoalesceMin()) / 1e6,
 				"coalesce_max_ms":    float64(col.CoalesceMax()) / 1e6,
 				"ingest_watermark":   col.Watermark(),
@@ -249,9 +247,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"ingests":        s.stats.ingests.Load(),
 		"edits":          s.stats.edits.Load(),
 		"errors":         s.stats.errored.Load(),
-		// Server-level hits/misses/hit_rate aggregate across policy
-		// swaps; the nested by-reason block resets with SetCachePolicy
-		// (it belongs to the live cache instance).
 		"cache": func() map[string]any {
 			cm := s.CacheMetrics()
 			return map[string]any{
@@ -260,18 +255,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				"hit_rate": hitRate,
 				"entries":  cm.Entries,
 				"capacity": s.cfg.CacheSize,
-				"policy":   cm.Policy,
 				"by_reason": map[string]any{
 					"hits_main":            cm.HitsMain,
 					"hits_probation":       cm.HitsProbation,
 					"misses_cold":          cm.MissesCold,
-					"misses_expired":       cm.MissesExpired,
 					"promotions":           cm.Promotions,
 					"ghost_readmits":       cm.GhostReadmits,
 					"admission_rejections": cm.AdmissionRejects,
 					"evictions":            cm.Evictions,
 					"evicted_cost":         cm.EvictedCost,
-					"swept_expired":        cm.SweptExpired,
 				},
 			}
 		}(),
@@ -330,16 +322,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"outcome", "hit", s.stats.cacheHits.Load(),
 		"outcome", "miss", s.stats.cacheMisses.Load())
 	cm := s.CacheMetrics()
-	counter("mmf_cache_policy_events_total", "Live cache's events by reason (resets on SetCachePolicy).",
+	counter("mmf_cache_policy_events_total", "Query-cache events by reason.",
 		"event", "hit_main", cm.HitsMain,
 		"event", "hit_probation", cm.HitsProbation,
 		"event", "miss_cold", cm.MissesCold,
-		"event", "miss_expired", cm.MissesExpired,
 		"event", "promotion", cm.Promotions,
 		"event", "ghost_readmit", cm.GhostReadmits,
 		"event", "admission_reject", cm.AdmissionRejects,
-		"event", "eviction", cm.Evictions,
-		"event", "swept_expired", cm.SweptExpired)
+		"event", "eviction", cm.Evictions)
 	counter("mmf_async_ingest_total", "Async-mode ingest outcomes.",
 		"outcome", "accepted", s.stats.asyncIngests.Load(),
 		"outcome", "backpressured", s.stats.backpressured.Load())
@@ -623,7 +613,6 @@ func (s *Server) handleCreateCollection(w http.ResponseWriter, r *http.Request) 
 	// background compaction threshold.
 	opts := docirs.CollectionOptions{
 		AsyncMaxPending:  s.cfg.AsyncMaxPending,
-		AsyncCoalesce:    s.cfg.AsyncCoalesce,
 		AsyncCoalesceMin: s.cfg.AsyncCoalesceMin,
 		AsyncCoalesceMax: s.cfg.AsyncCoalesceMax,
 		AutoCompactRatio: s.cfg.CompactRatio,
@@ -684,7 +673,7 @@ func (s *Server) handleDropCollection(w http.ResponseWriter, r *http.Request) {
 	// A same-name recreate restarts the per-collection epoch near
 	// zero, so search entries keyed under the old collection could
 	// collide with it; drop everything.
-	s.qcache().purge()
+	s.cache.purge()
 	writeJSON(w, http.StatusOK, map[string]any{"dropped": name})
 }
 
@@ -809,14 +798,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// evaluation and slice their prefix from it.
 	bucket := kBucket(limit)
 	key := cacheKey{kind: "search", coll: name, query: q, epoch: col.Epoch(), kbucket: bucket}
-	cache := s.qcache()
 	var hits []searchHit
 	cached := false
-	if v, ok := cache.get(key); ok {
+	if v, ok := s.cache.get(key); ok {
 		hits = v.([]searchHit)
 		cached = true
 		s.stats.cacheHits.Add(1)
-	} else if v, ok := s.cacheGetFull(cache, key); ok {
+	} else if v, ok := s.cacheGetFull(key); ok {
 		// A cached exhaustive result serves any limit — its prefix is
 		// exactly what the top-k engine would return.
 		hits = v
@@ -847,7 +835,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// latency-only cost rather than zero.
 		scored, _ := tr.Int64Attr("candidates_scored")
 		cost := time.Since(evalStart).Seconds() * float64(scored+1)
-		cache.put(key, hits, cost)
+		s.cache.put(key, hits, cost)
 		// A top-k evaluation that came back with fewer than its bucket
 		// hits is provably exhaustive (the engine ran out of matches
 		// before reaching k), so promote it to the unlimited slot too:
@@ -859,7 +847,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		if bucket > 0 && len(hits) < bucket {
 			full := key
 			full.kbucket = 0
-			cache.put(full, hits, cost)
+			s.cache.put(full, hits, cost)
 		}
 	}
 	if cached {
@@ -882,15 +870,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 // cacheGetFull retries a bucketed search-cache miss against the
 // unlimited entry (kbucket 0) of the same (collection, query, epoch):
-// the exhaustive ranking's prefix answers every limit. It operates on
-// the cache the caller already loaded so one request never straddles
-// a concurrent policy swap.
-func (s *Server) cacheGetFull(cache queryCacher, key cacheKey) ([]searchHit, bool) {
+// the exhaustive ranking's prefix answers every limit.
+func (s *Server) cacheGetFull(key cacheKey) ([]searchHit, bool) {
 	if key.kbucket == 0 {
 		return nil, false
 	}
 	key.kbucket = 0
-	v, ok := cache.get(key)
+	v, ok := s.cache.get(key)
 	if !ok {
 		return nil, false
 	}
@@ -941,10 +927,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	tr.SetDetail(req.Query)
 	tr.Attr("strategy", strategy.String())
 	key := cacheKey{kind: "query", strategy: strategy.String(), query: req.Query, epoch: s.sys.Epoch()}
-	cache := s.qcache()
 	var res *queryResult
 	cached := false
-	if v, ok := cache.get(key); ok {
+	if v, ok := s.cache.get(key); ok {
 		res = v.(*queryResult)
 		cached = true
 		s.stats.cacheHits.Add(1)
@@ -966,7 +951,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		// VQL evaluation carries no candidates-scored annotation;
 		// rebuild cost degrades to the measured latency.
-		cache.put(key, res, time.Since(evalStart).Seconds())
+		s.cache.put(key, res, time.Since(evalStart).Seconds())
 	}
 	if cached {
 		tr.Attr("cache", "hit")

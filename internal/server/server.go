@@ -7,13 +7,13 @@
 //   - an admission layer (counting semaphore) bounding the number of
 //     concurrently evaluated queries, with a bounded wait and 503 on
 //     overload;
-//   - an LRU query-result cache keyed on (kind, collection, strategy,
-//     query, epoch). The epoch component ties the cache to the
-//     coupling's update log: any committed document mutation advances
-//     the epoch (core.Coupling.Epoch / core.Collection.Epoch), so a
-//     deferred-propagation policy such as PropagateOnQuery stays
-//     correct — a stale entry simply becomes unreachable and ages
-//     out;
+//   - a cost-aware 2Q query-result cache keyed on (kind, collection,
+//     strategy, query, epoch, k-bucket). The epoch component ties the
+//     cache to the coupling's update log: any committed document
+//     mutation advances the epoch (core.Coupling.Epoch /
+//     core.Collection.Epoch), so a deferred-propagation policy such as
+//     PropagateOnQuery stays correct — a stale entry simply becomes
+//     unreachable and ages out;
 //   - expvar-style counters (/stats): QPS, cache hit rate, in-flight
 //     and rejected requests, and the propagation backlog across
 //     collections.
@@ -21,11 +21,9 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	docirs "repro"
@@ -45,15 +43,6 @@ type Config struct {
 	// CacheSize is the capacity (entries) of the query-result cache;
 	// negative disables caching. Default (0): 1024.
 	CacheSize int
-	// CacheTTL bounds the age of query-cache entries; 0 never
-	// expires (the epoch key already invalidates on mutation).
-	CacheTTL time.Duration
-	// CachePolicy selects the query-cache replacement policy:
-	// CachePolicy2Q (default) is the cost-aware 2Q cache (probationary
-	// admission, ghost readmission, eviction by frequency × measured
-	// rebuild cost); CachePolicyLRU the plain recency LRU kept as the
-	// A/B baseline. Swappable at runtime via SetCachePolicy.
-	CachePolicy string
 	// MaxBatch bounds the number of documents accepted by one ingest
 	// request. Default: 1024.
 	MaxBatch int
@@ -61,16 +50,11 @@ type Config struct {
 	// propagation queue; a full queue rejects async ingest with 503.
 	// 0 selects the coupling default (4096); negative unbounded.
 	AsyncMaxPending int
-	// AsyncCoalesce is the background flusher's group-commit window
-	// for async-policy collections. 0 (the default) lets each
-	// collection adapt its window inside [AsyncCoalesceMin,
-	// AsyncCoalesceMax] from observed arrival rate and queue depth;
-	// positive pins a fixed window (the pre-adaptive behavior);
-	// negative flushes immediately.
-	AsyncCoalesce time.Duration
-	// AsyncCoalesceMin/Max bound the adaptive coalescing window. 0
-	// selects the coupling defaults (250µs / 8ms). Ignored when
-	// AsyncCoalesce pins a fixed window.
+	// AsyncCoalesceMin/Max bound the background flusher's group-commit
+	// window for async-policy collections: each collection adapts its
+	// window inside them from observed arrival rate and queue depth.
+	// Equal bounds fix the window. 0 selects the coupling defaults
+	// (250µs / 8ms).
 	AsyncCoalesceMin time.Duration
 	AsyncCoalesceMax time.Duration
 	// CompactRatio enables tombstone-ratio-triggered background index
@@ -96,9 +80,6 @@ func (c Config) withDefaults() Config {
 	} else if c.CacheSize < 0 {
 		c.CacheSize = 0
 	}
-	if c.CachePolicy == "" {
-		c.CachePolicy = CachePolicy2Q
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 1024
 	}
@@ -118,7 +99,7 @@ type Server struct {
 	sys   *docirs.System
 	cfg   Config
 	sem   chan struct{}
-	cache atomic.Pointer[cacheBox]
+	cache *costCache
 	mux   *http.ServeMux
 	stats counters
 	qps   *obs.Rate
@@ -129,58 +110,15 @@ type Server struct {
 	dtds  map[string]*docirs.DTD
 }
 
-// cacheBox pairs a cache with its policy name behind one pointer so
-// SetCachePolicy can swap both atomically while requests are in
-// flight (the two policies are distinct concrete types, which rules
-// out atomic.Value).
-type cacheBox struct {
-	policy string
-	c      queryCacher
-}
-
-// newCacheFor builds a cache of the named policy.
-func newCacheFor(policy string, size int, ttl time.Duration) (*cacheBox, error) {
-	switch policy {
-	case CachePolicyLRU:
-		return &cacheBox{policy: policy, c: newQueryCache(size, ttl)}, nil
-	case CachePolicy2Q:
-		return &cacheBox{policy: policy, c: newCostCache(size, ttl)}, nil
-	}
-	return nil, fmt.Errorf("unknown cache policy %q (want %q or %q)",
-		policy, CachePolicy2Q, CachePolicyLRU)
-}
-
-// qcache returns the live query cache.
-func (s *Server) qcache() queryCacher { return s.cache.Load().c }
-
-// CachePolicy returns the live cache's policy name.
-func (s *Server) CachePolicy() string { return s.cache.Load().policy }
-
-// SetCachePolicy swaps the query cache for a fresh one of the named
-// policy ("2q" or "lru"). The swap empties the cache — that is the
-// point: it is the A/B lever (bench harnesses flip policies between
-// measurement passes), and a comparison starting from a warm foreign
-// cache would measure the wrong thing. Setting the current policy
-// re-creates the cache too (a cheap purge-with-reset-counters).
-func (s *Server) SetCachePolicy(policy string) error {
-	box, err := newCacheFor(policy, s.cfg.CacheSize, s.cfg.CacheTTL)
-	if err != nil {
-		return err
-	}
-	s.cache.Store(box)
-	return nil
-}
-
-// CacheMetrics snapshots the live cache's internal accounting
+// CacheMetrics snapshots the query cache's internal accounting
 // (hit/miss by reason, promotions, admission rejections, evicted
-// cost). The server-level hit/miss counters in /stats aggregate
-// across policy swaps; these reset with each SetCachePolicy.
-func (s *Server) CacheMetrics() CacheMetrics { return s.qcache().metrics() }
+// cost).
+func (s *Server) CacheMetrics() CacheMetrics { return s.cache.metrics() }
 
 // New wraps sys in a service layer. The caller keeps ownership of
 // sys (and closes it after the HTTP server shuts down).
 //
-// Pipeline tuning (AsyncMaxPending, AsyncCoalesce) is applied to the
+// Pipeline tuning (AsyncMaxPending, AsyncCoalesceMin/Max) is applied to the
 // collections already in sys as well: those options are not
 // persisted, so collections restored from disk would otherwise run
 // with baked-in defaults and ignore the configuration. The
@@ -195,8 +133,7 @@ func New(sys *docirs.System, cfg Config) *Server {
 		if err != nil {
 			continue
 		}
-		col.ConfigureAsyncBounds(cfg.AsyncCoalesceMin, cfg.AsyncCoalesceMax)
-		col.ConfigureAsync(cfg.AsyncMaxPending, cfg.AsyncCoalesce)
+		col.ConfigureAsync(cfg.AsyncMaxPending, cfg.AsyncCoalesceMin, cfg.AsyncCoalesceMax)
 		if ratio, _ := col.IRS().Index().AutoCompact(); ratio == 0 && cfg.CompactRatio > 0 {
 			col.IRS().SetAutoCompact(cfg.CompactRatio, 0)
 		}
@@ -207,15 +144,9 @@ func New(sys *docirs.System, cfg Config) *Server {
 		sem:   make(chan struct{}, cfg.MaxConcurrent),
 		qps:   obs.NewRate(),
 		start: time.Now(),
+		cache: newCostCache(cfg.CacheSize),
 		dtds:  make(map[string]*docirs.DTD),
 	}
-	box, err := newCacheFor(cfg.CachePolicy, cfg.CacheSize, cfg.CacheTTL)
-	if err != nil {
-		// New has no error path; an unrecognized policy string falls
-		// back to the default rather than panicking a serving process.
-		box, _ = newCacheFor(CachePolicy2Q, cfg.CacheSize, cfg.CacheTTL)
-	}
-	s.cache.Store(box)
 	// The slow log is process-global (traces from the coupling's flush
 	// pipeline land in it too); the serving layer owns its tuning, the
 	// way http.DefaultServeMux is owned by whoever serves it.

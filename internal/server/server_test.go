@@ -291,31 +291,41 @@ func TestAdmissionRejectsWhenSaturated(t *testing.T) {
 	}
 }
 
-func TestLRUCache(t *testing.T) {
-	c := newQueryCache(2, 0)
+// TestCostCacheBasics: values round-trip through both segments, the
+// epoch component separates keys, purge empties the cache, and a
+// zero capacity disables it.
+func TestCostCacheBasics(t *testing.T) {
+	c := newCostCache(8) // probation 2, main 6
 	k := func(q string) cacheKey { return cacheKey{kind: "query", query: q} }
 	c.put(k("a"), 1, 1)
-	c.put(k("b"), 2, 1)
-	if _, ok := c.get(k("a")); !ok {
-		t.Fatal("a evicted too early")
-	}
-	c.put(k("c"), 3, 1) // evicts b (least recently used after the get of a)
-	if _, ok := c.get(k("b")); ok {
-		t.Fatal("b should have been evicted")
-	}
-	if v, ok := c.get(k("a")); !ok || v != 1 {
+	if v, ok := c.get(k("a")); !ok || v != 1 { // probation hit, promotes
 		t.Fatalf("a = %v, %v", v, ok)
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
+	if v, ok := c.get(k("a")); !ok || v != 1 { // main hit
+		t.Fatalf("promoted a = %v, %v", v, ok)
+	}
+	c.put(k("b"), 2, 1)
+	if n := c.metrics().Entries; n != 2 {
+		t.Fatalf("entries = %d, want 2", n)
 	}
 	// Epoch difference misses.
 	c.put(cacheKey{kind: "query", query: "a", epoch: 1}, 9, 1)
 	if v, _ := c.get(cacheKey{kind: "query", query: "a", epoch: 1}); v != 9 {
 		t.Fatal("epoch-qualified entry lost")
 	}
+	if v, _ := c.get(k("a")); v != 1 {
+		t.Fatalf("epoch-0 entry = %v, want 1", v)
+	}
+	m := c.metrics()
+	if m.HitsMain != 2 || m.HitsProbation != 2 || m.Promotions != 2 {
+		t.Fatalf("metrics = %+v", m)
+	}
+	c.purge()
+	if _, ok := c.get(k("a")); ok || c.metrics().Entries != 0 {
+		t.Fatalf("purged cache still holds entries: %+v", c.metrics())
+	}
 
-	disabled := newQueryCache(0, 0)
+	disabled := newCostCache(0)
 	disabled.put(k("a"), 1, 1)
 	if _, ok := disabled.get(k("a")); ok {
 		t.Fatal("disabled cache served an entry")

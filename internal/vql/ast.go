@@ -18,6 +18,7 @@ package vql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/oodb"
@@ -187,14 +188,6 @@ func FreeVars(e Expr) []string {
 	for v := range set {
 		out = append(out, v)
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
